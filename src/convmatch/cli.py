@@ -336,6 +336,8 @@ def _rank_dataset(cfg: RunConfig) -> tuple[list, list]:
         groups.append(metrics.RankedLabels(
             labels=[int(prepared.labels[i]) for i, _ in ordering],
             group_id=example.dialog_id))
+    if source is not None:
+        source.save_caches()
     return rows, groups
 
 

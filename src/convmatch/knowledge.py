@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .fileio import atomic_write
 from .retrieval import DEFAULT_B, DEFAULT_K1, InvertedIndex, search
 from .text import PAD_TOKEN, UNK_TOKEN
 
@@ -90,7 +91,15 @@ def retrieve_qa_pairs(response: Sequence[str], index: InvertedIndex,
     if index.n_docs == 0:
         return []
     hits = search(index, response, top_pairs, k1=k1, b=b)
-    return [pairs_by_id[doc_id] for doc_id, _ in hits]
+    return _pairs_by_ids(pairs_by_id, [doc_id for doc_id, _ in hits])
+
+
+def _pairs_by_ids(pairs_by_id: Mapping[str, object], ids: Sequence[str]) -> list:
+    missing = [pair_id for pair_id in ids if pair_id not in pairs_by_id]
+    if missing:
+        raise DataError(f"QA pair id {missing[0]!r} is not in the QA collection "
+                        f"(stale index or pairs cache?)")
+    return [pairs_by_id[pair_id] for pair_id in ids]
 
 
 @dataclass
@@ -216,7 +225,7 @@ class TsvCache:
     def save(self) -> None:
         if self.path is None:
             return
-        with open(self.path, "w", encoding="utf-8") as fh:
+        with atomic_write(self.path) as fh:
             for key in sorted(self.entries):
                 fh.write("\t".join([key] + list(self.entries[key])) + "\n")
 
@@ -226,7 +235,9 @@ class KnowledgeSource:
 
     The model pipeline calls expand() for feedback-expanded responses and
     retrieve_pairs() for correspondence statistics; both are cached in
-    memory (and optionally on disk) keyed by response content.
+    memory (and optionally on disk) keyed by response content, prefixed with
+    a fingerprint of the retrieval settings and the index, so a cache
+    written under other settings or another index is not reused.
     """
 
     def __init__(self, index: InvertedIndex, docs: Mapping[str, Sequence[str]] | None = None,
@@ -246,11 +257,14 @@ class KnowledgeSource:
         self.b = b
         self.expansion_cache = expansion_cache if expansion_cache is not None else TsvCache()
         self.pairs_cache = pairs_cache if pairs_cache is not None else TsvCache()
+        settings = (prf_docs, prf_terms, kd_pairs, repr(float(k1)), repr(float(b)),
+                    index.n_docs, sum(index.doc_lengths.values()))
+        self.fingerprint = content_hash([str(v) for v in settings])[:16]
 
     def expand(self, response: Sequence[str]) -> list[str]:
         if self.docs is None:
             raise ConfigError("knowledge source has no document store for expansion")
-        key = "exp:" + content_hash(response)
+        key = f"exp:{self.fingerprint}:{content_hash(response)}"
         cached = self.expansion_cache.get(key)
         if cached is None:
             expanded = expand_response(response, self.index, self.docs,
@@ -263,14 +277,14 @@ class KnowledgeSource:
     def retrieve_pairs(self, response: Sequence[str]) -> list:
         if self.pairs_by_id is None:
             raise ConfigError("knowledge source has no QA pairs for retrieval")
-        key = "qa:" + content_hash(response)
+        key = f"qa:{self.fingerprint}:{content_hash(response)}"
         cached = self.pairs_cache.get(key)
         if cached is None:
             pairs = retrieve_qa_pairs(response, self.index, self.pairs_by_id,
                                       top_pairs=self.kd_pairs, k1=self.k1, b=self.b)
             self.pairs_cache.put(key, [pair.id for pair in pairs])
             return pairs
-        return [self.pairs_by_id[pair_id] for pair_id in cached]
+        return _pairs_by_ids(self.pairs_by_id, cached)
 
     def save_caches(self) -> None:
         self.expansion_cache.save()

@@ -255,9 +255,7 @@ class ModelParams:
             return None if t is None else Tensor(t.values.copy(), requires_grad=True)
 
         def dup_gru(p: GRUParams) -> GRUParams:
-            return GRUParams(**{name: dup(getattr(p, name))
-                                for name in ("w_z", "w_r", "w_h", "u_z", "u_r",
-                                             "u_h", "b_z", "b_r", "b_h")})
+            return GRUParams(*[dup(t) for t in p.tensors()])
 
         return ModelParams(
             dup(self.embedding), dup_gru(self.enc_fwd), dup_gru(self.enc_bwd),
@@ -314,36 +312,65 @@ def build_stack(utterance: EncodedText, response: EncodedText, params: ModelPara
     return nn.reshape(stacks, stacks.values.shape[2:])
 
 
-def _stack_batch(utt_ids: np.ndarray, resp_ids: np.ndarray, params: ModelParams,
-                 cfg: ModelConfig, m3: np.ndarray | None) -> Tensor:
-    """Channel stacks for a batch: (B, c, l_u) x (B, l_r) -> (B, c, C, l_r, l_u)."""
-    n_batch, n_turns, l_u = utt_ids.shape
-    l_r = resp_ids.shape[1]
-    utt_emb = nn.embedding(params.embedding, utt_ids)            # (B, c, l_u, d)
-    resp_emb = nn.embedding(params.embedding, resp_ids)          # (B, l_r, d)
-    resp_emb_b = nn.reshape(resp_emb, (n_batch, 1, l_r, cfg.embed_dim))
+@dataclass
+class EncodedContext:
+    """The response-independent half of the M1/M2 channels for N contexts."""
 
-    mask = ((resp_ids != PAD_ID).astype(np.float64)[:, None, :, None]
-            * (utt_ids != PAD_ID).astype(np.float64)[:, :, None, :])
-    mask_t = Tensor(mask)                                        # (B, c, l_r, l_u)
+    emb: Tensor            # (N, c, l_u, d) utterance embeddings
+    hidden: Tensor | None  # (N, c, l_u, 2 * hidden) utterance BiGRU states, with m2
+    mask: np.ndarray       # (N, c, l_u) 1.0 at non-PAD positions
+
+
+def encode_context(utt_ids: np.ndarray, params: ModelParams,
+                   cfg: ModelConfig) -> EncodedContext:
+    """Embed and BiGRU-encode (N, c, l_u) utterance ids, once per context."""
+    n_ctx, n_turns, l_u = utt_ids.shape
+    emb = nn.embedding(params.embedding, utt_ids)
+    hidden = None
+    if "m2" in cfg.channels:
+        flat = nn.reshape(emb, (n_ctx * n_turns, l_u, cfg.embed_dim))
+        hidden = nn.reshape(nn.bigru(flat, params.enc_fwd, params.enc_bwd),
+                            (n_ctx, n_turns, l_u, 2 * cfg.gru_hidden))
+    return EncodedContext(emb, hidden, (utt_ids != PAD_ID).astype(np.float64))
+
+
+def match_context(ctx: EncodedContext, resp_ids: np.ndarray, params: ModelParams,
+                  cfg: ModelConfig, m3: np.ndarray | None) -> Tensor:
+    """Channel stacks (B, c, C, l_r, l_u) of B responses against N encoded contexts.
+
+    N divides B and response row j meets context j mod N: the encoded
+    states are broadcast over the B / N response blocks, never re-encoded.
+    """
+    n_ctx, n_turns, l_u = ctx.mask.shape
+    n_batch, l_r = resp_ids.shape
+    blocks = n_batch // n_ctx
+    resp_emb = nn.embedding(params.embedding, resp_ids)          # (B, l_r, d)
+    mask = ((resp_ids != PAD_ID).astype(np.float64).reshape(blocks, n_ctx, 1, l_r, 1)
+            * ctx.mask[:, :, None, :])
+    mask_t = Tensor(mask.reshape(n_batch, n_turns, l_r, l_u))
+
+    def grid(resp_rows: Tensor, utt_rows: Tensor, channel: str) -> Tensor:
+        width = resp_rows.values.shape[-1]
+        resp_b = nn.reshape(resp_rows, (blocks, n_ctx, 1, l_r, width))
+        out = _interact(resp_b, utt_rows, cfg, params, channel)  # (B/N, N, c, l_r, l_u)
+        return nn.reshape(out, (n_batch, n_turns, l_r, l_u))
 
     channels: list[Tensor] = []
     for channel in cfg.channels:
         if channel == "m1":
-            grid = _interact(resp_emb_b, utt_emb, cfg, params, "m1")
+            g = grid(resp_emb, ctx.emb, "m1")
         elif channel == "m2":
-            utt_flat = nn.reshape(utt_emb, (n_batch * n_turns, l_u, cfg.embed_dim))
-            utt_hidden = nn.bigru(utt_flat, params.enc_fwd, params.enc_bwd)
-            utt_hidden = nn.reshape(utt_hidden,
-                                    (n_batch, n_turns, l_u, 2 * cfg.gru_hidden))
-            resp_hidden = nn.bigru(resp_emb, params.enc_fwd, params.enc_bwd)
-            resp_hidden = nn.reshape(resp_hidden,
-                                     (n_batch, 1, l_r, 2 * cfg.gru_hidden))
-            grid = _interact(resp_hidden, utt_hidden, cfg, params, "m2")
+            g = grid(nn.bigru(resp_emb, params.enc_fwd, params.enc_bwd), ctx.hidden, "m2")
         else:  # m3
-            grid = Tensor(np.asarray(m3, dtype=np.float64))
-        channels.append(nn.mul(grid, mask_t))
+            g = Tensor(np.asarray(m3, dtype=np.float64))
+        channels.append(nn.mul(g, mask_t))
     return nn.stack(channels, axis=2)
+
+
+def _stack_batch(utt_ids: np.ndarray, resp_ids: np.ndarray, params: ModelParams,
+                 cfg: ModelConfig, m3: np.ndarray | None) -> Tensor:
+    """Channel stacks for a batch: (N, c, l_u) x (B, l_r) -> (B, c, C, l_r, l_u)."""
+    return match_context(encode_context(utt_ids, params, cfg), resp_ids, params, cfg, m3)
 
 
 def score_batch(utt_ids: np.ndarray, resp_ids: np.ndarray, params: ModelParams,
@@ -352,14 +379,18 @@ def score_batch(utt_ids: np.ndarray, resp_ids: np.ndarray, params: ModelParams,
                 dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Matching scores for a batch of (context, response) pairs, shape (B,).
 
-    utt_ids is (B, c, l_u) with all-PAD rows for padded turns, resp_ids is
-    (B, l_r), and m3 (required exactly for dmn-kd channel sets) is
-    (B, c, l_r, l_u).
+    resp_ids is (B, l_r) and utt_ids (N, c, l_u) with all-PAD rows for
+    padded turns, where N divides B: response j is scored against context
+    j mod N, and each context is encoded once. N = B pairs rows one to one;
+    N = 1 scores every response against one context. m3 (required exactly
+    for dmn-kd channel sets) is (B, c, l_r, l_u).
     """
     utt_ids = np.asarray(utt_ids, dtype=np.int64)
     resp_ids = np.asarray(resp_ids, dtype=np.int64)
-    n_batch, n_turns, l_u = utt_ids.shape
-    if n_turns != cfg.c or l_u != cfg.l_u or resp_ids.shape != (n_batch, cfg.l_r):
+    n_ctx, n_turns, l_u = utt_ids.shape
+    n_batch = resp_ids.shape[0]
+    if (n_turns != cfg.c or l_u != cfg.l_u or resp_ids.shape != (n_batch, cfg.l_r)
+            or n_ctx < 1 or n_batch % n_ctx):
         raise ConfigError("batch shapes do not match the model configuration")
     if ("m3" in cfg.channels) != (m3 is not None):
         raise ConfigError("m3 must be given exactly when the m3 channel is configured")
@@ -479,11 +510,9 @@ def prepare_example(example: DialogExample, vocab: Vocabulary, cfg: ModelConfig,
 def score_prepared(prepared: PreparedExample, params: ModelParams,
                    cfg: ModelConfig) -> list[float]:
     """Evaluation-mode scores for every candidate of a prepared example."""
-    n_cand = prepared.cand_ids.shape[0]
-    utt_tiled = np.broadcast_to(prepared.utt_ids,
-                                (n_cand,) + prepared.utt_ids.shape)
     with nn.no_grad():
-        out = score_batch(utt_tiled, prepared.cand_ids, params, cfg, m3=prepared.m3)
+        out = score_batch(prepared.utt_ids[None], prepared.cand_ids, params, cfg,
+                          m3=prepared.m3)
     return [float(v) for v in out.values]
 
 

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .fileio import atomic_write
 
 __all__ = [
     "Tensor", "no_grad", "add", "sub", "mul", "neg", "divide", "matmul",
@@ -322,11 +323,16 @@ def mean_op(a, axis=None, keepdims: bool = False) -> Tensor:
     return mul(sum_op(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
+def _sigmoid_values(x: np.ndarray) -> np.ndarray:
+    # exp(-|x|) never overflows; both branches share it
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
+
+
 def sigmoid(a) -> Tensor:
     a = _tensor(a)
-    x = a.values
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = _sigmoid_values(a.values)
 
     def bw(g, grads):
         _accum(grads, a, g * out * (1.0 - out))
@@ -537,6 +543,9 @@ def glorot_bound(fan_in: int, fan_out: int) -> float:
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
 
+_GRU_FIELDS = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
+
+
 @dataclass
 class GRUParams:
     """Gate parameters: each W is (hidden, input), each U (hidden, hidden)."""
@@ -568,10 +577,84 @@ class GRUParams:
                    u_r=w(hidden, hidden), u_h=w(hidden, hidden),
                    b_z=b(hidden), b_r=b(hidden), b_h=b(hidden))
 
+    def tensors(self) -> list[Tensor]:
+        """The nine tensors in field order."""
+        return [getattr(self, name) for name in _GRU_FIELDS]
+
     def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.{name}", getattr(self, name))
-                for name in ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h",
-                             "b_z", "b_r", "b_h")]
+        return [(f"{prefix}.{name}", t) for name, t in zip(_GRU_FIELDS, self.tensors())]
+
+
+def _gru_scan(x: np.ndarray, h0: np.ndarray, p: GRUParams, reverse: bool):
+    """Run one GRU direction over axis 1 of x (N, L, d), starting from h0 (N, H).
+
+    The input projections of all steps come from one (N*L, d) x (d, 3H)
+    product, so only the recurrent products loop. Returns the states
+    (N, L, H) and the tape _gru_scan_backward needs: the input, the stacked
+    weights, h0, and each step's z and r gates and candidate state.
+    """
+    n, length, dim = x.shape
+    hidden = h0.shape[1]
+    w = np.concatenate([p.w_z.values, p.w_r.values, p.w_h.values])    # (3H, d)
+    u_zr_t = np.concatenate([p.u_z.values, p.u_r.values]).T           # (H, 2H)
+    b_zr = np.concatenate([p.b_z.values, p.b_r.values])
+    u_h_t, b_h = p.u_h.values.T, p.b_h.values
+    xw = (x.reshape(n * length, dim) @ w.T).reshape(n, length, 3 * hidden)
+    states = np.empty((n, length, hidden))
+    gates = np.empty((n, length, 2 * hidden))
+    cand = np.empty((n, length, hidden))
+    h = h0
+    for t in (reversed(range(length)) if reverse else range(length)):
+        zr = _sigmoid_values(xw[:, t, :2 * hidden] + h @ u_zr_t + b_zr)
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        c = np.tanh(xw[:, t, 2 * hidden:] + (r * h) @ u_h_t + b_h)
+        h = (1.0 - z) * h + z * c
+        gates[:, t] = zr
+        cand[:, t] = c
+        states[:, t] = h
+    return states, (x, w, u_zr_t, u_h_t, h0, gates, cand, states)
+
+
+def _gru_scan_backward(g_states: np.ndarray, tape, p: GRUParams, reverse: bool,
+                       grads: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Backpropagation through time for _gru_scan.
+
+    g_states is the gradient of the states (N, L, H). Accumulates the nine
+    parameter gradients into grads and returns the gradients of x and h0.
+    The recurrence loops; the weight gradients are one product each over
+    all steps.
+    """
+    x, w, u_zr_t, u_h_t, h0, gates, cand, states = tape
+    n, length, hidden = states.shape
+    if reverse:
+        h_prev = np.concatenate([states[:, 1:], h0[:, None]], axis=1)
+    else:
+        h_prev = np.concatenate([h0[:, None], states[:, :-1]], axis=1)
+    z, r = gates[..., :hidden], gates[..., hidden:]
+    u_zr, u_h = u_zr_t.T, u_h_t.T
+    g_pre = np.empty((n, length, 3 * hidden))  # at the z, r and candidate pre-activations
+    carry = np.zeros((n, hidden))
+    for t in (range(length) if reverse else reversed(range(length))):
+        g_h = g_states[:, t] + carry
+        z_t, r_t, c_t, hp = z[:, t], r[:, t], cand[:, t], h_prev[:, t]
+        g_c = g_h * z_t * (1.0 - c_t ** 2)
+        g_rh = g_c @ u_h
+        g_pre[:, t, :hidden] = (g_h * c_t - g_h * hp) * z_t * (1.0 - z_t)
+        g_pre[:, t, hidden:2 * hidden] = g_rh * hp * r_t * (1.0 - r_t)
+        g_pre[:, t, 2 * hidden:] = g_c
+        carry = g_h * (1.0 - z_t) + g_rh * r_t + g_pre[:, t, :2 * hidden] @ u_zr
+
+    flat = g_pre.reshape(n * length, 3 * hidden)
+    g_w = flat.T @ x.reshape(n * length, -1)
+    g_u_zr = flat[:, :2 * hidden].T @ h_prev.reshape(n * length, hidden)
+    g_u_h = flat[:, 2 * hidden:].T @ (r * h_prev).reshape(n * length, hidden)
+    g_b = flat.sum(axis=0)
+    g_params = (g_w[:hidden], g_w[hidden:2 * hidden], g_w[2 * hidden:],
+                g_u_zr[:hidden], g_u_zr[hidden:], g_u_h,
+                g_b[:hidden], g_b[hidden:2 * hidden], g_b[2 * hidden:])
+    for tensor, g in zip(p.tensors(), g_params):
+        _accum(grads, tensor, g)
+    return (flat @ w).reshape(x.shape), carry
 
 
 def gru_step(x, h_prev, p: GRUParams) -> Tensor:
@@ -579,21 +662,24 @@ def gru_step(x, h_prev, p: GRUParams) -> Tensor:
 
     z = sig(Wz x + Uz h + bz), r = sig(Wr x + Ur h + br),
     cand = tanh(Wh x + Uh (r*h) + bh), new h = (1 - z)*h + z*cand.
-    Accepts single vectors or any stack of them (..., input_dim).
+    Accepts single vectors or any stack of them (..., input_dim), with
+    h_prev of the matching shape (..., hidden). This is the bigru kernel
+    run for one step from h_prev.
     """
     x, h_prev = _tensor(x), _tensor(h_prev)
-    squeeze = x.values.ndim == 1
-    if squeeze:
-        x = reshape(x, (1,) + x.values.shape)
-        h_prev = reshape(h_prev, (1,) + h_prev.values.shape)
-    z = sigmoid(add(add(matmul(x, transpose(p.w_z)), matmul(h_prev, transpose(p.u_z))), p.b_z))
-    r = sigmoid(add(add(matmul(x, transpose(p.w_r)), matmul(h_prev, transpose(p.u_r))), p.b_r))
-    cand = tanh_op(add(add(matmul(x, transpose(p.w_h)),
-                           matmul(mul(r, h_prev), transpose(p.u_h))), p.b_h))
-    h = add(mul(sub(1.0, z), h_prev), mul(z, cand))
-    if squeeze:
-        h = reshape(h, h.values.shape[1:])
-    return h
+    hidden = p.u_z.values.shape[0]
+    out_shape = x.values.shape[:-1] + (hidden,)
+    if h_prev.values.shape != out_shape:
+        raise ConfigError(f"gru_step state shape {h_prev.values.shape} != {out_shape}")
+    states, tape = _gru_scan(x.values.reshape(-1, 1, x.values.shape[-1]),
+                             h_prev.values.reshape(-1, hidden), p, reverse=False)
+
+    def bw(g, grads):
+        g_x, g_h = _gru_scan_backward(g.reshape(-1, 1, hidden), tape, p, False, grads)
+        _accum(grads, x, g_x.reshape(x.values.shape))
+        _accum(grads, h_prev, g_h.reshape(out_shape))
+
+    return _make(states.reshape(out_shape), (x, h_prev, *p.tensors()), bw)
 
 
 def bigru(seq, fwd: GRUParams, bwd: GRUParams) -> Tensor:
@@ -605,25 +691,22 @@ def bigru(seq, fwd: GRUParams, bwd: GRUParams) -> Tensor:
     seq = _tensor(seq)
     if seq.values.ndim < 2:
         raise ConfigError("bigru expects at least (length, input_dim)")
-    length = seq.values.shape[-2]
-    batch_shape = seq.values.shape[:-2]
+    shape = seq.values.shape
+    length = shape[-2]
     hidden = fwd.u_z.values.shape[0]
-    steps = [index(seq, (..., t, slice(None))) for t in range(length)]
+    x = seq.values.reshape(-1, length, shape[-1])
+    h0 = np.zeros((x.shape[0], hidden))
+    out_f, tape_f = _gru_scan(x, h0, fwd, reverse=False)
+    out_b, tape_b = _gru_scan(x, h0, bwd, reverse=True)
+    out = np.concatenate([out_f, out_b], axis=-1).reshape(shape[:-1] + (2 * hidden,))
 
-    h = Tensor(np.zeros(batch_shape + (hidden,)))
-    fwd_states = []
-    for t in range(length):
-        h = gru_step(steps[t], h, fwd)
-        fwd_states.append(h)
+    def bw(g, grads):
+        g = g.reshape(x.shape[:2] + (2 * hidden,))
+        g_xf, _ = _gru_scan_backward(g[..., :hidden], tape_f, fwd, False, grads)
+        g_xb, _ = _gru_scan_backward(g[..., hidden:], tape_b, bwd, True, grads)
+        _accum(grads, seq, (g_xf + g_xb).reshape(shape))
 
-    h = Tensor(np.zeros(batch_shape + (hidden,)))
-    bwd_states: list = [None] * length
-    for t in reversed(range(length)):
-        h = gru_step(steps[t], h, bwd)
-        bwd_states[t] = h
-
-    rows = [concat([fwd_states[t], bwd_states[t]], axis=-1) for t in range(length)]
-    return stack(rows, axis=-2)
+    return _make(out, (seq, *fwd.tensors(), *bwd.tensors()), bw)
 
 
 def interaction_matrix(a, b, mode: str = "dot", bilinear=None) -> Tensor:
@@ -755,7 +838,7 @@ def save_parameters(named_params: dict, path, extra_meta: dict | None = None) ->
     payload["__checkpoint_version__"] = np.array(_CHECKPOINT_VERSION)
     for key, value in (extra_meta or {}).items():
         payload[f"meta/{key}"] = np.array(value)
-    with open(path, "wb") as fh:  # savez would append .npz to a bare path
+    with atomic_write(path, binary=True) as fh:  # savez would append .npz to a bare path
         np.savez(fh, **payload)
 
 

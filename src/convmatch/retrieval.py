@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DataError, ParseError
+from .fileio import atomic_write
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -195,7 +196,7 @@ def save_index(index: InvertedIndex, path) -> None:
     Layout: one header, one D line per document (insertion order), one
     P line per posting (terms sorted, postings in document order).
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{_INDEX_MAGIC}\t{_INDEX_VERSION}\t{index.field_name}\n")
         for doc_id, length in index.doc_lengths.items():
             fh.write(f"D\t{doc_id}\t{length}\n")

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, ParseError
+from .fileio import atomic_write
 
 PAD_ID = 0
 UNK_ID = 1
@@ -154,7 +155,7 @@ def aligned_tokens(encoded: EncodedText, vocab: Vocabulary) -> list[str]:
 
 def save_vocab(vocab: Vocabulary, path) -> None:
     """Write the vocabulary as UTF-8 text, one token<TAB>id line, sorted by id."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for idx, token in enumerate(vocab.id_to_token):
             fh.write(f"{token}\t{idx}\n")
 

@@ -2,9 +2,9 @@
 
 Training examples are (context, positive, negative) triples built as the
 Cartesian product of each example's positives and negatives. Each batch
-runs both forward scores, averages the hinge terms, adds the L2 penalty
-once, backpropagates and applies one Adam step. Everything is driven by a
-single seed, so a run is exactly reproducible.
+scores its positives and negatives in one forward pass, averages the hinge
+terms, adds the L2 penalty once, backpropagates and applies one Adam step.
+Everything is driven by a single seed, so a run is exactly reproducible.
 """
 
 from __future__ import annotations
@@ -150,13 +150,15 @@ class TrainResult:
     skipped_examples: int = 0
 
 
-def _gather_batch(prepared: list, batch: list, side: int) -> tuple:
-    """Stack (utt, resp, m3) arrays for one side (1=positive, 2=negative)."""
-    utt = np.stack([prepared[t[0]].utt_ids for t in batch])
-    resp = np.stack([prepared[t[0]].cand_ids[t[side]] for t in batch])
+def _gather_batch(prepared: list, batch: list) -> tuple:
+    """Arrays for one batch of B triples: utt (B, c, l_u), then the 2B response
+    rows and their m3 grids ordered [positives; negatives]."""
+    utt = np.stack([prepared[e].utt_ids for e, _, _ in batch])
+    rows = [(e, pos) for e, pos, _ in batch] + [(e, neg) for e, _, neg in batch]
+    resp = np.stack([prepared[e].cand_ids[i] for e, i in rows])
     m3 = None
     if prepared[0].m3 is not None:
-        m3 = np.stack([prepared[t[0]].m3[t[side]] for t in batch])
+        m3 = np.stack([prepared[e].m3[i] for e, i in rows])
     return utt, resp, m3
 
 
@@ -217,12 +219,12 @@ def train(train_set: Sequence[DialogExample], valid_set: Sequence[DialogExample]
         n_batches = 0
         for start in range(0, len(order), train_cfg.batch_size):
             batch = [triples[i] for i in order[start:start + train_cfg.batch_size]]
-            utt_p, resp_p, m3_p = _gather_batch(prepared_train, batch, 1)
-            _, resp_n, m3_n = _gather_batch(prepared_train, batch, 2)
-            s_pos = score_batch(utt_p, resp_p, params, model_cfg, m3=m3_p,
-                                training=True, dropout_rng=dropout_rng)
-            s_neg = score_batch(utt_p, resp_n, params, model_cfg, m3=m3_n,
-                                training=True, dropout_rng=dropout_rng)
+            utt, resp, m3 = _gather_batch(prepared_train, batch)
+            # one pass: each context is encoded once for its positive and negative
+            scores = score_batch(utt, resp, params, model_cfg, m3=m3,
+                                 training=True, dropout_rng=dropout_rng)
+            s_pos = nn.index(scores, slice(0, len(batch)))
+            s_neg = nn.index(scores, slice(len(batch), None))
             hinge = nn.relu(nn.add(nn.sub(train_cfg.margin, s_pos), s_neg))
             loss = nn.mean_op(hinge)
             if train_cfg.l2 > 0.0:

@@ -7,7 +7,8 @@ from synth import knowledge_benefit_data, lexical_cue_dataset
 from convmatch.cli import RunConfig, build_run_config, load_config_file, main, make_parser
 from convmatch.corpus import load_dataset, save_dataset
 from convmatch.errors import ConfigError
-from convmatch.text import Tokenizer
+from convmatch.model import load_checkpoint
+from convmatch.text import Tokenizer, build_vocab, save_vocab
 
 
 @pytest.fixture
@@ -222,3 +223,70 @@ class TestExitCodes:
                      "--output", str(tmp_path / "out.tsv"), "--n-neg", "0"])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+
+class TestKnowledgeCaches:
+    def test_cached_pair_missing_from_qa_file_is_exit_two(self, workspace, capsys):
+        tmp_path, paths = workspace
+        # a QA collection that the test candidates retrieve from
+        qa_path = tmp_path / "test_qa.tsv"
+        test_set = load_dataset(paths["test"], Tokenizer())
+        with open(qa_path, "w", encoding="utf-8") as fh:
+            for i, ex in enumerate(test_set):
+                for j, (tokens, _) in enumerate(ex.candidates):
+                    fh.write(f"q{i}.{j}\t{' '.join(ex.context[-1])}\t{' '.join(tokens)}\n")
+        index_path = tmp_path / "qa.index"
+        assert main(["index", "--qa-file", str(qa_path),
+                     "--index-file", str(index_path)]) == 0
+        train_flags = _model_flags(tmp_path, paths, extra=(
+            "--variant", "dmn-kd", "--channels", "m1,m2,m3", "--epochs", "0",
+            "--qa-file", str(qa_path), "--index-file", str(index_path)))
+        assert main(["train", *train_flags]) == 0
+        rank_flags = ["rank", "--test-file", str(paths["test"]),
+                      "--checkpoint", str(tmp_path / "model.ckpt"),
+                      "--index-file", str(index_path),
+                      "--cache-dir", str(tmp_path / "cache"),
+                      "--output", str(tmp_path / "ranking.tsv")]
+        assert main([*rank_flags, "--qa-file", str(qa_path)]) == 0
+        cached = (tmp_path / "cache" / "qa_pairs.tsv").read_text(encoding="utf-8")
+        assert "\tq0." in cached
+
+        # same index, so the cache is reused, but every pair id has changed
+        renamed = tmp_path / "renamed.tsv"
+        with open(renamed, "w", encoding="utf-8") as fh:
+            for line in qa_path.read_text(encoding="utf-8").splitlines():
+                fh.write("new-" + line + "\n")
+        capsys.readouterr()
+        assert main([*rank_flags, "--qa-file", str(renamed)]) == 2
+        assert "not in the QA collection" in capsys.readouterr().err
+
+
+class TestPretrainedEmbeddings:
+    def test_train_starts_from_embeddings_file(self, workspace):
+        tmp_path, paths = workspace
+        examples = load_dataset(paths["train"], Tokenizer(), max_context_turns=2)
+        streams = [t for ex in examples for t in ex.context]
+        streams += [tokens for ex in examples for tokens, _ in ex.candidates]
+        vocab = build_vocab(streams, 1)
+        vocab_path = tmp_path / "vocab.tsv"
+        save_vocab(vocab, vocab_path)
+        chosen = vocab.id_to_token[2:5]
+        emb_path = tmp_path / "embeddings.txt"
+        with open(emb_path, "w", encoding="utf-8") as fh:
+            for k, token in enumerate(chosen):
+                fh.write(token + " " + " ".join(str(k + 0.25 * j) for j in range(4)) + "\n")
+        flags = _model_flags(tmp_path, paths, extra=(
+            "--epochs", "0", "--vocab-file", str(vocab_path),
+            "--embeddings-file", str(emb_path)))
+        assert main(["train", *flags]) == 0
+        params, _ = load_checkpoint(tmp_path / "model.ckpt", vocab_size=len(vocab))
+        for k, token in enumerate(chosen):
+            np.testing.assert_array_equal(params.embedding.values[vocab.token_to_id[token]],
+                                          [k + 0.25 * j for j in range(4)])
+
+    def test_missing_embeddings_file_is_exit_one(self, workspace, capsys):
+        tmp_path, paths = workspace
+        flags = _model_flags(tmp_path, paths, extra=(
+            "--embeddings-file", str(tmp_path / "absent.txt")))
+        assert main(["train", *flags]) == 1
+        assert "absent.txt" in capsys.readouterr().err

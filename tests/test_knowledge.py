@@ -176,3 +176,46 @@ class TestKnowledgeSource:
                                    pairs_by_id=by_id, kd_pairs=5,
                                    pairs_cache=TsvCache(path))
         assert reloaded.retrieve_pairs(["w3"]) == got
+
+    def test_expansion_cache_not_reused_across_settings(self, rng, tmp_path):
+        pairs = random_qa_pairs(rng, 20)
+        index, docs = build_index(pairs, "answer"), doc_store(pairs, "answer")
+        path = tmp_path / "expansions.tsv"
+        one_term = KnowledgeSource(index=index, docs=docs, prf_docs=3, prf_terms=1,
+                                   expansion_cache=TsvCache(path))
+        assert len(one_term.expand(["w1", "w2"])) == 3
+        one_term.save_caches()
+        fresh = KnowledgeSource(index=index, docs=docs, prf_docs=3, prf_terms=5)
+        reused = KnowledgeSource(index=index, docs=docs, prf_docs=3, prf_terms=5,
+                                 expansion_cache=TsvCache(path))
+        assert reused.expand(["w1", "w2"]) == fresh.expand(["w1", "w2"])
+        assert len(reused.expand(["w1", "w2"])) == 7
+
+    def test_cache_not_reused_across_indexes(self, rng, tmp_path):
+        pairs = random_qa_pairs(rng, 20)
+        by_id = {p.id: p for p in pairs}
+        path = tmp_path / "qa_pairs.tsv"
+        small = KnowledgeSource(index=build_index(pairs[:10], "answer"),
+                                pairs_by_id=by_id, pairs_cache=TsvCache(path))
+        small.retrieve_pairs(["w3"])
+        small.save_caches()
+        full = KnowledgeSource(index=build_index(pairs, "answer"),
+                               pairs_by_id=by_id, pairs_cache=TsvCache(path))
+        assert full.fingerprint != small.fingerprint
+        assert (full.retrieve_pairs(["w3"])
+                == retrieve_qa_pairs(["w3"], build_index(pairs, "answer"), by_id))
+
+    def test_cached_id_missing_from_collection_is_data_error(self, rng, tmp_path):
+        pairs = random_qa_pairs(rng, 20)
+        index = build_index(pairs, "answer")
+        path = tmp_path / "qa_pairs.tsv"
+        source = KnowledgeSource(index=index, pairs_by_id={p.id: p for p in pairs},
+                                 pairs_cache=TsvCache(path))
+        got = source.retrieve_pairs(["w3"])
+        assert got
+        source.save_caches()
+        shrunk = {p.id: p for p in pairs if p.id != got[0].id}
+        stale = KnowledgeSource(index=index, pairs_by_id=shrunk,
+                                pairs_cache=TsvCache(path))
+        with pytest.raises(DataError, match=got[0].id):
+            stale.retrieve_pairs(["w3"])

@@ -6,15 +6,16 @@ import pytest
 import oracles
 from conftest import gru_weights_dict
 from synth import dataset_vocab, lexical_cue_dataset, random_qa_pairs
+from convmatch import nn
 from convmatch.corpus import DialogExample
 from convmatch.errors import ConfigError
 from convmatch.knowledge import KnowledgeSource
-from convmatch.model import (ConvLayerConfig, ModelConfig, ModelParams, build_stack,
-                             conv_feature_size, load_checkpoint, prepare_example,
-                             rank, rank_prepared, save_checkpoint, score,
-                             score_batch, score_prepared)
+from convmatch.model import (ConvLayerConfig, ModelConfig, ModelParams, PreparedExample,
+                             build_stack, conv_feature_size, load_checkpoint,
+                             load_word_embeddings, prepare_example, rank, rank_prepared,
+                             save_checkpoint, score, score_batch, score_prepared)
 from convmatch.retrieval import build_index, doc_store
-from convmatch.text import PAD_ID, EncodedText, build_vocab, encode
+from convmatch.text import PAD_ID, PAD_TOKEN, UNK_TOKEN, EncodedText, build_vocab, encode
 
 
 def tiny_config(**overrides):
@@ -384,7 +385,6 @@ class TestConvFeatureSize:
         utt = np.full((1, 2, 4), 2)
         resp = np.full((1, 4), 3)
         # run the conv stage manually to compare flattened width
-        from convmatch import nn
         from convmatch.model import _stack_batch
 
         stacks = _stack_batch(utt, resp, params, cfg, None)
@@ -392,3 +392,89 @@ class TestConvFeatureSize:
         x = nn.conv2d(x, params.conv_kernels[0], params.conv_biases[0])
         x = nn.max_pool(x, cfg.conv.pool_shape)
         assert int(np.prod(x.values.shape[1:])) == conv_feature_size(cfg)
+
+
+class TestEncodeOnce:
+    """score_prepared encodes its context once and broadcasts it over the
+    candidates; that must reproduce scoring each candidate with its own copy
+    of the context."""
+
+    @staticmethod
+    def _prepared(variant, interaction, seed):
+        channels = ("m1", "m2", "m3") if variant == "dmn-kd" else ("m1", "m2")
+        cfg = tiny_config(variant=variant, channels=channels, interaction=interaction,
+                          l_u=5, l_r=5, c=3, embed_dim=4, gru_hidden=3)
+        params = ModelParams.init(cfg, vocab_size=12, seed=seed, embed_scale=1.0)
+        rng = np.random.default_rng(seed)
+        if interaction == "bilinear":  # move off the identity, where it equals dot
+            params.bilinear_m1.values += 0.3 * rng.standard_normal((4, 4))
+            params.bilinear_m2.values += 0.3 * rng.standard_normal((6, 6))
+        utt_ids = rng.integers(2, 12, size=(cfg.c, cfg.l_u))
+        utt_ids[0] = PAD_ID        # a padded turn slot
+        utt_ids[1, -2:] = PAD_ID   # a padded utterance tail
+        cand_ids = rng.integers(2, 12, size=(6, cfg.l_r))
+        cand_ids[2, -1] = PAD_ID
+        m3 = None
+        if variant == "dmn-kd":
+            m3 = np.maximum(rng.standard_normal((6, cfg.c, cfg.l_r, cfg.l_u)), 0.0)
+        prepared = PreparedExample("d", utt_ids, cand_ids, np.zeros(6, dtype=np.int64), m3)
+        return prepared, params, cfg
+
+    @pytest.mark.parametrize("variant,interaction", [
+        ("dmn", "dot"), ("dmn", "cosine"), ("dmn", "bilinear"), ("dmn-kd", "dot")])
+    def test_matches_per_candidate_scoring(self, variant, interaction):
+        prepared, params, cfg = self._prepared(variant, interaction, seed=3)
+        scores = np.array(score_prepared(prepared, params, cfg))
+        n_cand = prepared.cand_ids.shape[0]
+        tiled = np.broadcast_to(prepared.utt_ids, (n_cand,) + prepared.utt_ids.shape)
+        with nn.no_grad():
+            per_row = score_batch(tiled, prepared.cand_ids, params, cfg,
+                                  m3=prepared.m3).values
+            single = np.array([
+                score_batch(prepared.utt_ids[None], prepared.cand_ids[i:i + 1], params,
+                            cfg, m3=None if prepared.m3 is None else prepared.m3[i:i + 1]
+                            ).values[0]
+                for i in range(n_cand)])
+        # one context copy per candidate: identical products, identical bits
+        np.testing.assert_array_equal(scores, per_row)
+        # a one-row batch takes BLAS's matrix-vector path, whose summation
+        # order differs from the matrix-matrix one in the last bits
+        np.testing.assert_allclose(scores, single, rtol=1e-12, atol=0)
+
+    def test_context_encoded_once(self, monkeypatch):
+        prepared, params, cfg = self._prepared("dmn", "dot", seed=4)
+        rows = []
+        original = nn.bigru
+
+        def counting(seq, fwd, bwd):
+            if fwd is params.enc_fwd:
+                rows.append(int(np.prod(seq.values.shape[:-2])))
+            return original(seq, fwd, bwd)
+
+        monkeypatch.setattr(nn, "bigru", counting)
+        score_prepared(prepared, params, cfg)
+        assert sorted(rows) == sorted([cfg.c, prepared.cand_ids.shape[0]])
+
+    def test_context_count_must_divide_batch(self):
+        cfg = tiny_config()
+        params = ModelParams.init(cfg, vocab_size=9, seed=0)
+        with pytest.raises(ConfigError):
+            score_batch(np.full((2, 2, 4), 3), np.full((3, 4), 3), params, cfg)
+
+
+class TestLoadWordEmbeddings:
+    def test_known_tokens_read_others_seeded(self, tmp_path):
+        vocab = build_vocab([["alpha", "beta", "gamma"]], 1)
+        path = tmp_path / "emb.txt"
+        path.write_text("alpha 1.5 -2 0.25\n"
+                        "beta 1 2\n"              # wrong width: skipped
+                        "unknown 9 9 9\n"         # not in the vocabulary
+                        "gamma 0 0 3e-1\n", encoding="utf-8")
+        table = load_word_embeddings(path, vocab, dim=3, seed=4, scale=0.2)
+        seeded = np.random.default_rng([4, 0]).uniform(-0.2, 0.2, size=(len(vocab), 3))
+        assert table.shape == (len(vocab), 3)
+        np.testing.assert_array_equal(table[vocab.token_to_id["alpha"]], [1.5, -2.0, 0.25])
+        np.testing.assert_array_equal(table[vocab.token_to_id["gamma"]], [0.0, 0.0, 0.3])
+        for token in (PAD_TOKEN, UNK_TOKEN, "beta"):
+            np.testing.assert_array_equal(table[vocab.token_to_id[token]],
+                                          seeded[vocab.token_to_id[token]])

@@ -133,6 +133,20 @@ class TestGruStep:
             single = nn.gru_step(Tensor(xs[i]), Tensor(hs[i]), params).values
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
+    def test_gradients_batched_from_nonzero_state(self, rng):
+        params = GRUParams.init(3, 4, rng, 0.5)
+        x, h = _t(rng, 2, 5, 3), _t(rng, 2, 5, 4)
+        assert np.abs(h.values).min() > 0.0
+        err = nn.grad_check(lambda *args: nn.gru_step(args[0], args[1], params),
+                            [x, h] + params.tensors(), projection_rng=rng)
+        assert err < 1e-6
+
+    def test_state_shape_must_match_input(self, rng):
+        params = GRUParams.init(3, 4, rng, 0.5)
+        with pytest.raises(ConfigError):
+            nn.gru_step(Tensor(rng.standard_normal((5, 3))),
+                        Tensor(rng.standard_normal(4)), params)
+
 
 def _sigmoid_np(x):
     return 1.0 / (1.0 + np.exp(-x))
@@ -180,6 +194,25 @@ class TestBigru:
         err = nn.grad_check(lambda *args: nn.bigru(args[0], fwd, bwd),
                             [seq, fwd.w_z, fwd.u_h, bwd.b_r], projection_rng=rng)
         assert err < 1e-6
+
+    def test_gradients_batched_3d(self, rng):
+        fwd = GRUParams.init(3, 2, rng, 0.5)
+        bwd = GRUParams.init(3, 2, rng, 0.5)
+        seq = _t(rng, 2, 4, 3)
+        err = nn.grad_check(lambda *args: nn.bigru(args[0], fwd, bwd),
+                            [seq] + fwd.tensors() + bwd.tensors(), projection_rng=rng)
+        assert err < 1e-6
+
+    def test_batched_rows_match_single_rows(self, rng):
+        fwd = GRUParams.init(3, 2, rng, 0.5)
+        bwd = GRUParams.init(3, 2, rng, 0.5)
+        seqs = rng.standard_normal((2, 3, 5, 3))
+        batched = nn.bigru(Tensor(seqs), fwd, bwd).values
+        assert batched.shape == (2, 3, 5, 4)
+        for i in range(2):
+            for j in range(3):
+                single = nn.bigru(Tensor(seqs[i, j]), fwd, bwd).values
+                np.testing.assert_allclose(batched[i, j], single, rtol=1e-12, atol=0)
 
 
 class TestInteractionMatrix:

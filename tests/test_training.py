@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from synth import dataset_vocab, lexical_cue_dataset
+from convmatch import nn
 from convmatch.corpus import DialogExample
 from convmatch.errors import ConfigError, NumericError
-from convmatch.model import ConvLayerConfig, ModelConfig, ModelParams
+from convmatch.model import ConvLayerConfig, ModelConfig, ModelParams, score_batch
 from convmatch.nn import Tensor
 from convmatch.training import (AdamState, TrainConfig, adam_step, hinge_loss,
                                 l2_penalty, make_triples, train, write_log)
@@ -205,6 +206,46 @@ class TestTrain:
         tcfg = TrainConfig(epochs=1, seed=5, batch_size=8, l2=1e-4)
         result = train(train_set, valid_set, vocab, cfg, tcfg)
         assert np.isfinite(result.log[0][1])
+
+
+class TestMergedStep:
+    def test_one_pass_equals_two_calls(self):
+        """train scores [positives; negatives] in one pass against contexts
+        encoded once; that equals the two separate score_batch calls it
+        replaces, dropout draws included."""
+        cfg = ModelConfig(variant="dmn", channels=("m1", "m2"), interaction="dot",
+                          l_u=5, l_r=5, c=3, embed_dim=4, gru_hidden=3,
+                          conv=ConvLayerConfig(kernel_shape=(2, 2), kernel_count=2,
+                                               pool_shape=(2, 2)),
+                          mlp_hidden=4, dropout=0.3)
+        rng = np.random.default_rng(17)
+        utt = rng.integers(2, 12, size=(3, cfg.c, cfg.l_u))
+        pos = rng.integers(2, 12, size=(3, cfg.l_r))
+        neg = rng.integers(2, 12, size=(3, cfg.l_r))
+
+        def step(merged):
+            params = ModelParams.init(cfg, vocab_size=12, seed=2, embed_scale=1.0)
+            dropout_rng = np.random.default_rng(5)
+            if merged:
+                scores = score_batch(utt, np.concatenate([pos, neg]), params, cfg,
+                                     training=True, dropout_rng=dropout_rng)
+                s_pos, s_neg = nn.index(scores, slice(0, 3)), nn.index(scores, slice(3, None))
+            else:
+                s_pos = score_batch(utt, pos, params, cfg, training=True,
+                                    dropout_rng=dropout_rng)
+                s_neg = score_batch(utt, neg, params, cfg, training=True,
+                                    dropout_rng=dropout_rng)
+            loss = nn.mean_op(hinge_loss(s_pos, s_neg, margin=1.0))
+            loss.backward()
+            return loss.item(), {k: t.grad for k, t in params.registry().items()}
+
+        loss_merged, grads_merged = step(merged=True)
+        loss_split, grads_split = step(merged=False)
+        assert loss_merged == loss_split
+        for name, g in grads_split.items():
+            # the shared context's gradient is summed in another order
+            scale = np.abs(g).max()
+            assert np.abs(grads_merged[name] - g).max() <= 1e-12 * scale, name
 
 
 class TestWriteLog:
