@@ -308,7 +308,8 @@ def cmd_train(cfg: RunConfig) -> None:
     result = training.train(train_set, valid_set, vocab, model_cfg, train_cfg,
                             knowledge=source, init_params=init_params,
                             log_path=cfg.log_file or None)
-    model.save_checkpoint(result.params, model_cfg, cfg.checkpoint)
+    model.save_checkpoint(result.params, model_cfg, cfg.checkpoint,
+                          provenance=text.provenance(tokenizer, vocab))
     if source is not None:
         source.save_caches()
     print(f"best validation MAP {result.best_valid_map:.4f} at epoch "
@@ -323,7 +324,8 @@ def _rank_dataset(cfg: RunConfig) -> tuple[list, list]:
     if not os.path.exists(vocab_path):
         raise ConfigError(f"vocabulary file not found: {vocab_path}")
     vocab = text.load_vocab(vocab_path)
-    params, model_cfg = model.load_checkpoint(cfg.checkpoint, vocab_size=len(vocab))
+    params, model_cfg = model.load_checkpoint(cfg.checkpoint, vocab_size=len(vocab),
+                                              provenance=text.provenance(tokenizer, vocab))
     dataset = corpus.load_dataset(cfg.test_file, tokenizer, max_context_turns=model_cfg.c)
     source = _load_knowledge(cfg, tokenizer, model_cfg)
     rows = []

@@ -161,38 +161,42 @@ def ppmi_matrix(response_tokens: Sequence[str], utterance_tokens: Sequence[str],
     the joint count or a marginal is 0, whenever either token is PAD or UNK,
     and everywhere when no pairs were retrieved. Output shape is
     (len(response_tokens), len(utterance_tokens)).
+
+    The value of each distinct (response term, utterance term) pair is
+    computed once and spread over the positions by index lookup, so a long
+    utterance sequence (several turns end to end) costs one call.
     """
     rows = len(response_tokens)
     cols = len(utterance_tokens)
-    matrix = np.zeros((rows, cols), dtype=np.float64)
     if not retrieved_pairs:
-        return matrix
+        return np.zeros((rows, cols), dtype=np.float64)
     stats = ppmi_stats(retrieved_pairs, counting)
     if stats.joint_total == 0 or stats.answer_total == 0 or stats.question_total == 0:
-        return matrix
+        return np.zeros((rows, cols), dtype=np.float64)
     skip = (pad_token, unk_token)
-    for i, r_tok in enumerate(response_tokens):
-        if r_tok in skip:
-            continue
-        a_marg = stats.answer_marginals.get(r_tok, 0.0)
-        if a_marg == 0.0:
-            continue
-        p_a = a_marg / stats.answer_total
-        for j, u_tok in enumerate(utterance_tokens):
-            if u_tok in skip:
-                continue
+
+    def distinct(tokens, marginals):
+        """term -> value-grid index for terms that can score; 0 for the rest."""
+        live = [t for t in dict.fromkeys(tokens) if t not in skip and marginals.get(t, 0.0)]
+        return {term: k for k, term in enumerate(live, start=1)}
+
+    r_terms = distinct(response_tokens, stats.answer_marginals)
+    u_terms = distinct(utterance_tokens, stats.question_marginals)
+    values = np.zeros((len(r_terms) + 1, len(u_terms) + 1), dtype=np.float64)
+    for r_tok, i in r_terms.items():
+        p_a = stats.answer_marginals[r_tok] / stats.answer_total
+        for u_tok, j in u_terms.items():
             joint = stats.pair_counts.get((r_tok, u_tok), 0.0)
             if joint == 0.0:
                 continue
-            q_marg = stats.question_marginals.get(u_tok, 0.0)
-            if q_marg == 0.0:
-                continue
             p_joint = joint / stats.joint_total
-            p_q = q_marg / stats.question_total
+            p_q = stats.question_marginals[u_tok] / stats.question_total
             value = math.log(p_joint / (p_a * p_q))
             if value > 0.0:
-                matrix[i, j] = value
-    return matrix
+                values[i, j] = value
+    r_pos = np.array([r_terms.get(t, 0) for t in response_tokens], dtype=np.intp)
+    u_pos = np.array([u_terms.get(t, 0) for t in utterance_tokens], dtype=np.intp)
+    return values[r_pos[:, None], u_pos[None, :]]
 
 
 def content_hash(tokens: Sequence[str]) -> str:
@@ -258,7 +262,7 @@ class KnowledgeSource:
         self.expansion_cache = expansion_cache if expansion_cache is not None else TsvCache()
         self.pairs_cache = pairs_cache if pairs_cache is not None else TsvCache()
         settings = (prf_docs, prf_terms, kd_pairs, repr(float(k1)), repr(float(b)),
-                    index.n_docs, sum(index.doc_lengths.values()))
+                    index.content_digest())
         self.fingerprint = content_hash([str(v) for v in settings])[:16]
 
     def expand(self, response: Sequence[str]) -> list[str]:

@@ -457,7 +457,8 @@ def prepare_example(example: DialogExample, vocab: Vocabulary, cfg: ModelConfig,
 
     dmn-prf expands every candidate before encoding (expansion terms go on
     the end, so originals win the length cap); dmn-kd attaches one
-    correspondence matrix per candidate and turn slot.
+    correspondence matrix per candidate and turn slot, from one ppmi_matrix
+    call per candidate against all turn slots end to end.
     """
     if cfg.variant in ("dmn-prf", "dmn-kd") and knowledge is None:
         raise ConfigError(f"variant {cfg.variant} needs a knowledge source")
@@ -483,7 +484,8 @@ def prepare_example(example: DialogExample, vocab: Vocabulary, cfg: ModelConfig,
     m3 = None
     if "m3" in cfg.channels:
         m3 = np.zeros((n_cand, cfg.c, cfg.l_r, cfg.l_u), dtype=np.float64)
-    utt_tokens = [aligned_tokens(enc, vocab) for enc in encoded_utts]
+        # every turn slot end to end; PAD slots come out as zero grids
+        utt_tokens = [tok for enc in encoded_utts for tok in aligned_tokens(enc, vocab)]
 
     for idx, (tokens, label) in enumerate(example.candidates):
         labels[idx] = label
@@ -497,12 +499,9 @@ def prepare_example(example: DialogExample, vocab: Vocabulary, cfg: ModelConfig,
         cand_ids[idx] = enc.ids
         if m3 is not None:
             pairs = knowledge.retrieve_pairs(list(tokens))
-            resp_tokens = aligned_tokens(enc, vocab)
-            for slot in range(cfg.c):
-                if encoded_utts[slot].true_len == 0:
-                    continue
-                m3[idx, slot] = ppmi_matrix(resp_tokens, utt_tokens[slot], pairs,
-                                            counting=knowledge.ppmi_counting)
+            grid = ppmi_matrix(aligned_tokens(enc, vocab), utt_tokens, pairs,
+                               counting=knowledge.ppmi_counting)
+            m3[idx] = grid.reshape(cfg.l_r, cfg.c, cfg.l_u).transpose(1, 0, 2)
     return PreparedExample(dialog_id=example.dialog_id, utt_ids=utt_ids,
                            cand_ids=cand_ids, labels=labels, m3=m3)
 
@@ -539,13 +538,24 @@ def rank(example: DialogExample, params: ModelParams, cfg: ModelConfig,
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(params: ModelParams, cfg: ModelConfig, path) -> None:
-    """Model checkpoint: every parameter plus the serialized configuration."""
-    nn.save_parameters(params.registry(), path, extra_meta={"model_config": cfg.to_json()})
+def save_checkpoint(params: ModelParams, cfg: ModelConfig, path,
+                    provenance: dict | None = None) -> None:
+    """Model checkpoint: every parameter plus the serialized configuration.
+
+    provenance (text.provenance) records the tokenizer and vocabulary the
+    parameters were trained with; load_checkpoint checks it when given.
+    """
+    nn.save_parameters(params.registry(), path,
+                       extra_meta={"model_config": cfg.to_json(), **(provenance or {})})
 
 
-def load_checkpoint(path, vocab_size: int | None = None) -> tuple[ModelParams, ModelConfig]:
-    """Rebuild (params, config) from save_checkpoint output, bit-exact."""
+def load_checkpoint(path, vocab_size: int | None = None,
+                    provenance: dict | None = None) -> tuple[ModelParams, ModelConfig]:
+    """Rebuild (params, config) from save_checkpoint output, bit-exact.
+
+    Each provenance entry must equal the one stored in the checkpoint; a
+    checkpoint saved without that entry is not checked for it.
+    """
     arrays, meta = nn.load_parameters(path)
     if "model_config" not in meta:
         raise ConfigError(f"{path} is not a model checkpoint")
@@ -554,6 +564,10 @@ def load_checkpoint(path, vocab_size: int | None = None) -> tuple[ModelParams, M
     if vocab_size is not None and arrays["embedding"].shape[0] != vocab_size:
         raise ConfigError(f"checkpoint vocabulary size {arrays['embedding'].shape[0]} "
                           f"!= expected {vocab_size}")
+    for key, expected in (provenance or {}).items():
+        if key in meta and str(meta[key]) != expected:
+            raise ConfigError(f"checkpoint was trained with {key} {str(meta[key])!r}, "
+                              f"this run has {expected!r}")
     params = ModelParams.init(cfg, arrays["embedding"].shape[0], seed=0)
     registry = params.registry()
     missing = set(registry) - set(arrays)

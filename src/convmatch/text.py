@@ -7,6 +7,7 @@ token space.
 
 from __future__ import annotations
 
+import hashlib
 import string
 from collections import Counter
 from dataclasses import dataclass
@@ -173,6 +174,20 @@ def load_vocab(path) -> Vocabulary:
                 raise ParseError(f"non-contiguous id {idx} for token {token!r}", line_no)
             tokens.append(token)
     return Vocabulary(tokens, min_count=None)
+
+
+def provenance(tokenizer: Tokenizer, vocab: Vocabulary) -> dict:
+    """What a checkpoint must be used with: tokenizer settings and vocabulary.
+
+    Stopwords and the vocabulary enter as SHA-1 digests of their content, so
+    a same-size vocabulary with other tokens or ids gives another value.
+    """
+    stopwords = hashlib.sha1("\n".join(sorted(tokenizer.stopwords)).encode("utf-8"))
+    vocab_digest = hashlib.sha1("\n".join(vocab.id_to_token).encode("utf-8"))
+    return {"tokenizer": f"lowercase={tokenizer.lowercase} "
+                         f"strip_punctuation={tokenizer.strip_punctuation} "
+                         f"stopwords={stopwords.hexdigest()}",
+            "vocabulary": vocab_digest.hexdigest()}
 
 
 def _lines(fh) -> Iterator[str]:

@@ -7,8 +7,8 @@ from synth import knowledge_benefit_data, lexical_cue_dataset
 from convmatch.cli import RunConfig, build_run_config, load_config_file, main, make_parser
 from convmatch.corpus import load_dataset, save_dataset
 from convmatch.errors import ConfigError
-from convmatch.model import load_checkpoint
-from convmatch.text import Tokenizer, build_vocab, save_vocab
+from convmatch.model import load_checkpoint, save_checkpoint
+from convmatch.text import Tokenizer, Vocabulary, build_vocab, load_vocab, save_vocab
 
 
 @pytest.fixture
@@ -290,3 +290,38 @@ class TestPretrainedEmbeddings:
             "--embeddings-file", str(tmp_path / "absent.txt")))
         assert main(["train", *flags]) == 1
         assert "absent.txt" in capsys.readouterr().err
+
+
+class TestCheckpointProvenance:
+    """rank/eval refuse a tokenizer or vocabulary other than the one trained with."""
+
+    def _train(self, workspace):
+        tmp_path, paths = workspace
+        assert main(["train", *_model_flags(tmp_path, paths, extra=("--epochs", "0"))]) == 0
+        return tmp_path / "model.ckpt", ["rank", "--test-file", str(paths["test"]),
+                                         "--checkpoint", str(tmp_path / "model.ckpt"),
+                                         "--output", str(tmp_path / "ranking.tsv")]
+
+    def test_flipped_lowercase_is_exit_one(self, workspace, capsys):
+        _, rank_flags = self._train(workspace)
+        assert main(rank_flags) == 0
+        capsys.readouterr()
+        assert main([*rank_flags, "--lowercase", "false"]) == 1
+        assert "lowercase=True" in capsys.readouterr().err
+        assert main(["eval", *rank_flags[1:-2], "--lowercase", "false"]) == 1
+
+    def test_same_size_other_vocabulary_is_exit_one(self, workspace, capsys):
+        ckpt, rank_flags = self._train(workspace)
+        tokens = load_vocab(str(ckpt) + ".vocab.tsv").id_to_token
+        swapped = Vocabulary(tokens[:2] + [tokens[3], tokens[2]] + tokens[4:])
+        other = workspace[0] / "other.vocab.tsv"
+        save_vocab(swapped, other)
+        capsys.readouterr()
+        assert main([*rank_flags, "--vocab-file", str(other)]) == 1
+        assert "vocabulary" in capsys.readouterr().err
+
+    def test_checkpoint_without_provenance_loads(self, workspace):
+        ckpt, rank_flags = self._train(workspace)
+        params, cfg = load_checkpoint(ckpt)
+        save_checkpoint(params, cfg, ckpt)  # no provenance, as older checkpoints
+        assert main([*rank_flags, "--lowercase", "false"]) == 0

@@ -9,7 +9,7 @@ import pytest
 from convmatch import nn
 from convmatch.fileio import atomic_write
 from convmatch.knowledge import TsvCache
-from convmatch.retrieval import InvertedIndex, save_index
+from convmatch.retrieval import index_documents, save_index
 from convmatch.text import PAD_TOKEN, UNK_TOKEN, build_vocab, save_vocab
 
 
@@ -26,9 +26,8 @@ def _cache(path, items):
     cache.save()
 
 
-def _index(path, length):
-    save_index(InvertedIndex(postings={"w": [("d1", 1)]},
-                             doc_lengths={"d1": 3, "d2": length}), path)
+def _index(path, doc_id):
+    save_index(index_documents([("d1", ["w", "x", "x"]), (doc_id, ["w"])]), path)
 
 
 def _vocab(path, token):
@@ -37,7 +36,7 @@ def _vocab(path, token):
 
 WRITERS = {
     "tsv_cache": (lambda p: _cache(p, ["z"]), lambda p: _cache(p, [Unwritable()])),
-    "index": (lambda p: _index(p, 4), lambda p: _index(p, Unwritable())),
+    "index": (lambda p: _index(p, "d2"), lambda p: _index(p, Unwritable())),
     "vocab": (lambda p: _vocab(p, "y"), lambda p: _vocab(p, Unwritable())),
 }
 

@@ -205,6 +205,22 @@ class TestKnowledgeSource:
         assert (full.retrieve_pairs(["w3"])
                 == retrieve_qa_pairs(["w3"], build_index(pairs, "answer"), by_id))
 
+    def test_cache_not_reused_across_indexes_of_equal_size(self, tmp_path):
+        # equal document count and lengths, different postings
+        docs_a = {"d0": ["x", "y"], "d1": ["z", "z"]}
+        docs_b = {"d0": ["x", "z"], "d1": ["y", "z"]}
+        index_a = index_documents(docs_a.items(), "answer")
+        index_b = index_documents(docs_b.items(), "answer")
+        path = tmp_path / "expansions.tsv"
+        first = KnowledgeSource(index=index_a, docs=docs_a, prf_docs=1, prf_terms=1,
+                                expansion_cache=TsvCache(path))
+        assert first.expand(["y"]) == ["y", "x"]
+        first.save_caches()
+        second = KnowledgeSource(index=index_b, docs=docs_b, prf_docs=1, prf_terms=1,
+                                 expansion_cache=TsvCache(path))
+        assert second.fingerprint != first.fingerprint
+        assert second.expand(["y"]) == ["y", "y"]
+
     def test_cached_id_missing_from_collection_is_data_error(self, rng, tmp_path):
         pairs = random_qa_pairs(rng, 20)
         index = build_index(pairs, "answer")

@@ -9,13 +9,14 @@ from synth import dataset_vocab, lexical_cue_dataset, random_qa_pairs
 from convmatch import nn
 from convmatch.corpus import DialogExample
 from convmatch.errors import ConfigError
-from convmatch.knowledge import KnowledgeSource
+from convmatch.knowledge import KnowledgeSource, ppmi_matrix
 from convmatch.model import (ConvLayerConfig, ModelConfig, ModelParams, PreparedExample,
                              build_stack, conv_feature_size, load_checkpoint,
                              load_word_embeddings, prepare_example, rank, rank_prepared,
                              save_checkpoint, score, score_batch, score_prepared)
 from convmatch.retrieval import build_index, doc_store
-from convmatch.text import PAD_ID, PAD_TOKEN, UNK_TOKEN, EncodedText, build_vocab, encode
+from convmatch.text import (PAD_ID, PAD_TOKEN, UNK_TOKEN, EncodedText, aligned_tokens,
+                            build_vocab, encode)
 
 
 def tiny_config(**overrides):
@@ -281,6 +282,32 @@ class TestKnowledgeVariants:
         assert prepared.m3.shape == (2, cfg.c, cfg.l_r, cfg.l_u)
         assert np.isfinite(prepared.m3).all()
         assert (prepared.m3 >= 0).all()
+
+    @pytest.mark.parametrize("counting", ["frequency", "binary"])
+    def test_m3_matches_per_slot_ppmi(self, counting):
+        rng = np.random.default_rng(5)
+        pairs = random_qa_pairs(rng, 40, vocab_size=12)
+        source = KnowledgeSource(index=build_index(pairs, "answer"),
+                                 pairs_by_id={p.id: p for p in pairs}, kd_pairs=6,
+                                 ppmi_counting=counting)
+        # w9..w11 are UNK; the empty turn and the padded first slot are all PAD
+        vocab = build_vocab([[f"w{i}" for i in range(9)]], 1)
+        example = DialogExample(
+            dialog_id="kd", context=[[], ["w1", "w10", "w2", "w1"], ["w3", "w11", "w4"]],
+            candidates=[(["w4", "w9", "w1", "w4"], 1), (["w2", "w3"], 0), (["w11"], 0)])
+        cfg = tiny_config(variant="dmn-kd", channels=("m1", "m2", "m3"), c=4)
+        prepared = prepare_example(example, vocab, cfg, source)
+        expected = np.zeros_like(prepared.m3)
+        for idx, (tokens, _) in enumerate(example.candidates):
+            retrieved = source.retrieve_pairs(tokens)
+            resp = aligned_tokens(encode(tokens, vocab, cfg.l_r, cfg.truncate), vocab)
+            for slot, utt_ids in enumerate(prepared.utt_ids):
+                if utt_ids.any():
+                    expected[idx, slot] = ppmi_matrix(
+                        resp, [vocab.token_for(int(i)) for i in utt_ids], retrieved,
+                        counting=counting)
+        assert expected[:, 2:].any()
+        assert prepared.m3.tobytes() == expected.tobytes()
 
     def test_prepare_prf_expands_before_encoding(self):
         source, example, vocab = self._kd_setup()

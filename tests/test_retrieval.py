@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from convmatch import retrieval
 from convmatch.corpus import DialogExample, QAPair
 from convmatch.errors import ConfigError, DataError, ParseError
-from convmatch.retrieval import (InvertedIndex, bm25_rank_responses, bm25_score,
-                                 build_index, doc_store, field_tokens,
-                                 index_documents, load_index, save_index, search)
+from convmatch.retrieval import (bm25_rank_responses, bm25_score, build_index,
+                                 doc_store, field_tokens, index_documents, load_index,
+                                 save_index, search)
 
 
 def _random_docs(rng, n_docs, vocab_size=40, max_len=8):
@@ -22,13 +25,22 @@ def _random_docs(rng, n_docs, vocab_size=40, max_len=8):
     return docs
 
 
+def _postings(index, term):
+    """[(doc_id, tf)] of one term, read from the CSR arrays."""
+    row = index.term_rows[term]
+    span = slice(index.indptr[row], index.indptr[row + 1])
+    return [(index.doc_ids[doc], int(tf))
+            for doc, tf in zip(index.post_docs[span], index.post_tfs[span])]
+
+
 class TestBuildIndex:
     def test_hand_construction(self):
         pairs = [QAPair(id="d1", question=["q"], answer=["a", "b"]),
                  QAPair(id="d2", question=["q"], answer=["b"])]
         index = build_index(pairs, "answer")
-        assert index.postings["a"] == [("d1", 1)]
-        assert index.postings["b"] == [("d1", 1), ("d2", 1)]
+        assert _postings(index, "a") == [("d1", 1)]
+        assert _postings(index, "b") == [("d1", 1), ("d2", 1)]
+        assert len(index.postings["b"]) == 2
         assert index.avg_doc_len == 1.5
         assert index.n_docs == 2
 
@@ -47,10 +59,10 @@ class TestBuildIndex:
         docs = _random_docs(rng, 50)
         index = index_documents(docs.items())
         totals = {doc_id: 0 for doc_id in docs}
-        for postings in index.postings.values():
-            for doc_id, tf in postings:
+        for term in index.terms:
+            for doc_id, tf in _postings(index, term):
                 totals[doc_id] += tf
-        assert totals == index.doc_lengths
+        assert totals == dict(zip(index.doc_ids, index.doc_lengths.tolist()))
 
     def test_fields(self):
         pair = QAPair(id="p", question=["q1"], answer=["a1", "a2"])
@@ -91,8 +103,8 @@ class TestBm25Score:
         # fixed doc length and df, increasing tf of the query term
         scores = []
         for tf in range(1, 6):
-            index = InvertedIndex(postings={"a": [("d0", tf)]},
-                                  doc_lengths={"d0": 10, "d1": 10}, field_name="x")
+            index = index_documents([("d0", ["a"] * tf + ["z"] * (10 - tf)),
+                                     ("d1", ["y"] * 10)], field_name="x")
             scores.append(bm25_score(index, ["a"], "d0"))
         assert all(later > earlier for earlier, later in zip(scores, scores[1:]))
 
@@ -126,6 +138,26 @@ class TestSearch:
         docs = {"b": ["x"], "a": ["x"]}  # identical stats, ids decide
         index = index_documents(docs.items())
         assert [doc_id for doc_id, _ in search(index, ["x"], 2)] == ["a", "b"]
+
+    def test_ties_straddling_k_keep_string_order(self):
+        # twelve equal scores inserted as d11 .. d0: the top 3 by id string
+        docs = {f"d{i}": ["x", "y"] for i in reversed(range(12))}
+        docs["best"] = ["x"]
+        index = index_documents(docs.items())
+        assert [doc_id for doc_id, _ in search(index, ["x"], 4)] == ["best", "d0", "d1", "d10"]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_property(self, data):
+        n_docs = data.draw(st.integers(1, 14))
+        # insertion order is a shuffle, and "d9" > "d10" as strings
+        ids = data.draw(st.permutations([f"d{i}" for i in range(n_docs)]))
+        words = st.sampled_from(["a", "b", "c", "d"])
+        docs = {doc_id: data.draw(st.lists(words, max_size=4)) for doc_id in ids}
+        query = data.draw(st.lists(st.one_of(words, st.just("oov")), max_size=6))
+        k = data.draw(st.integers(1, n_docs + 2))
+        expected = oracles.bm25_ranking(docs, query)
+        assert search(index_documents(docs.items()), query, k) == expected[:k]
 
 
 class TestRankResponses:
@@ -177,7 +209,9 @@ class TestIndexSerialization:
         save_index(index, path)
         loaded = load_index(path)
         assert loaded.field_name == index.field_name
-        assert loaded.doc_lengths == index.doc_lengths
+        assert loaded.doc_ids == index.doc_ids
+        assert loaded.doc_lengths.tolist() == index.doc_lengths.tolist()
+        assert loaded.content_digest() == index.content_digest()
         query = ["w1", "w5", "w7"]
         assert search(loaded, query, 20) == search(index, query, 20)
 
@@ -194,6 +228,43 @@ class TestIndexSerialization:
         save_index(index_documents(docs.items()), path_a)
         save_index(load_index(path_a), path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    @pytest.mark.parametrize("bad, line_no", [
+        ("P\tb\td9\t1\n", 6),  # unknown document
+        ("P\tb\td1\t0\n", 6),  # term frequency below 1
+        ("P\tb\td1\tx\n", 6),  # not a number
+        ("P\tb\td1\n", 6),  # missing field
+        ("D\td2\t1\n", 6),  # document record after the postings
+    ])
+    def test_bad_posting_record(self, tmp_path, bad, line_no):
+        path = tmp_path / "index.txt"
+        save_index(index_documents([("d0", ["a", "b"]), ("d1", ["b", "c"])]), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:line_no - 1] + [bad] + lines[line_no - 1:]),
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line {line_no}:"):
+            load_index(path)
+
+    def test_round_trip_across_parse_blocks(self, rng, tmp_path, monkeypatch):
+        # one or two lines per block: rows continue from block to block
+        index = index_documents(_random_docs(rng, 60).items())
+        path_a, path_b = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_index(index, path_a)
+        monkeypatch.setattr(retrieval, "_BLOCK_LINES", 1)
+        save_index(index, path_b)
+        assert path_a.read_bytes() == path_b.read_bytes()
+        assert load_index(path_a).content_digest() == index.content_digest()
+
+    @pytest.mark.parametrize("block_lines", [1, 1 << 13])
+    def test_unsorted_terms_rejected(self, tmp_path, monkeypatch, block_lines):
+        monkeypatch.setattr(retrieval, "_BLOCK_LINES", block_lines)
+        path = tmp_path / "index.txt"
+        # with one-line blocks the two P lines land in different blocks
+        save_index(index_documents([("document0", ["alpha", "beta"])]), path)
+        header, doc, post_a, post_b = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(header + doc + post_b + post_a, encoding="utf-8")
+        with pytest.raises(ParseError, match="line 4:"):
+            load_index(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "garbage.txt"
