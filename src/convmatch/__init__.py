@@ -13,8 +13,8 @@ from .knowledge import (FeedbackModel, KnowledgeSource, expand_response,
                         feedback_language_model, ppmi_matrix, retrieve_qa_pairs)
 from .metrics import (MetricsReport, RankedLabels, average_precision,
                       evaluate_rankings, recall_at_k)
-from .model import (ConvLayerConfig, ModelConfig, ModelParams, build_stack,
-                    load_checkpoint, prepare_example, rank, save_checkpoint, score)
+from .model import (ConvLayerConfig, ModelConfig, ModelParams, load_checkpoint,
+                    prepare_example, rank, save_checkpoint)
 from .retrieval import (InvertedIndex, bm25_rank_responses, bm25_score, build_index,
                         load_index, save_index, search)
 from .text import (EncodedText, Tokenizer, Vocabulary, build_vocab, encode,

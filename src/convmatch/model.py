@@ -10,8 +10,7 @@ are configurable for ablations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,27 +30,32 @@ _CONFIG_VERSION = 1
 
 @dataclass
 class ConvLayerConfig:
-    """One convolution + pooling block."""
+    """One convolution + pooling block.
+
+    Kernels are never flipped and partial pool windows are always kept; the
+    config JSON still records both facts for readers of the v1 format.
+    """
 
     kernel_shape: tuple = (3, 3)
     kernel_count: int = 8
     pool_shape: tuple = (3, 3)
     in_channels: int = 2
     padding: int = 0
-    flip_kernels: bool = False
-    pool_keep_partial: bool = True
 
     def validate(self) -> None:
         for name in ("kernel_shape", "pool_shape"):
             value = getattr(self, name)
-            if len(value) != 2 or min(value) < 1:
+            if len(value) != 2 or not all(_is_int(v) and v >= 1 for v in value):
                 raise ConfigError(f"{name} must be two integers >= 1, got {value}")
-        if self.kernel_count < 1:
-            raise ConfigError(f"kernel_count must be >= 1, got {self.kernel_count}")
-        if self.in_channels < 1:
-            raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
-        if self.padding < 0:
-            raise ConfigError(f"padding must be >= 0, got {self.padding}")
+        for name, least in (("kernel_count", 1), ("in_channels", 1), ("padding", 0)):
+            if not _is_int(getattr(self, name)) or getattr(self, name) < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, "
+                                  f"got {getattr(self, name)!r}")
+
+
+def _is_int(value) -> bool:
+    # a float size would pass the range checks and fail later in numpy
+    return isinstance(value, (int, np.integer))
 
 
 @dataclass
@@ -91,8 +95,9 @@ class ModelConfig:
             raise ConfigError(f"unknown interaction {self.interaction!r}")
         for name in ("l_u", "l_r", "c", "embed_dim", "gru_hidden", "mlp_hidden",
                      "conv_blocks"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if not _is_int(getattr(self, name)) or getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, "
+                                  f"got {getattr(self, name)!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.truncate not in ("head", "tail"):
@@ -101,48 +106,40 @@ class ModelConfig:
         conv_feature_size(self)  # raises if a kernel outgrows its input
 
     def to_json(self) -> str:
-        payload = {
-            "version": _CONFIG_VERSION,
-            "variant": self.variant,
-            "channels": list(self.channels),
-            "interaction": self.interaction,
-            "l_u": self.l_u, "l_r": self.l_r, "c": self.c,
-            "embed_dim": self.embed_dim, "gru_hidden": self.gru_hidden,
-            "conv": {
-                "kernel_shape": list(self.conv.kernel_shape),
-                "kernel_count": self.conv.kernel_count,
-                "pool_shape": list(self.conv.pool_shape),
-                "padding": self.conv.padding,
-                "flip_kernels": self.conv.flip_kernels,
-                "pool_keep_partial": self.conv.pool_keep_partial,
-            },
-            "conv_blocks": self.conv_blocks,
-            "mlp_hidden": self.mlp_hidden,
-            "dropout": self.dropout,
-            "include_current_turn": self.include_current_turn,
-            "truncate": self.truncate,
-        }
+        payload = {**asdict(self), "version": _CONFIG_VERSION}
+        del payload["conv"]["in_channels"]  # follows channels
+        payload["conv"].update(_CONV_JSON_CONSTANTS)
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_json(cls, payload: str) -> "ModelConfig":
-        data = json.loads(payload)
-        if data.get("version") != _CONFIG_VERSION:
-            raise ConfigError(f"unsupported model config version {data.get('version')}")
-        conv = data["conv"]
-        return cls(
-            variant=data["variant"], channels=tuple(data["channels"]),
-            interaction=data["interaction"], l_u=data["l_u"], l_r=data["l_r"],
-            c=data["c"], embed_dim=data["embed_dim"], gru_hidden=data["gru_hidden"],
-            conv=ConvLayerConfig(
-                kernel_shape=tuple(conv["kernel_shape"]),
-                kernel_count=conv["kernel_count"],
-                pool_shape=tuple(conv["pool_shape"]),
-                padding=conv["padding"], flip_kernels=conv["flip_kernels"],
-                pool_keep_partial=conv["pool_keep_partial"]),
-            conv_blocks=data["conv_blocks"], mlp_hidden=data["mlp_hidden"],
-            dropout=data["dropout"], include_current_turn=data["include_current_turn"],
-            truncate=data["truncate"])
+        """Inverse of to_json, validated; any malformed payload is a ConfigError."""
+        try:
+            data = json.loads(payload)
+            if data.get("version") != _CONFIG_VERSION:
+                raise ConfigError(f"unsupported model config version {data.get('version')}")
+            conv = data["conv"]
+            for key, value in _CONV_JSON_CONSTANTS.items():
+                if conv[key] is not value:
+                    raise ConfigError(f"model config has {key}={conv[key]!r}; only "
+                                      f"{value!r} is supported")
+            cfg = cls(**_json_fields(cls, data, "conv"),
+                      conv=ConvLayerConfig(**_json_fields(ConvLayerConfig, conv,
+                                                          "in_channels")))
+            cfg.validate()
+        except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"malformed model config: {exc!r}") from exc
+        return cfg
+
+
+# to_json records these fixed conv semantics so v1 readers see them spelled out
+_CONV_JSON_CONSTANTS = {"flip_kernels": False, "pool_keep_partial": True}
+
+
+def _json_fields(cls, data: dict, *skip: str) -> dict:
+    """The dataclass's fields read from a to_json dict, JSON lists as tuples."""
+    return {f.name: tuple(data[f.name]) if isinstance(data[f.name], list) else data[f.name]
+            for f in fields(cls) if f.name not in skip}
 
 
 def conv_feature_size(cfg: ModelConfig) -> int:
@@ -156,34 +153,62 @@ def conv_feature_size(cfg: ModelConfig) -> int:
         if h < 1 or w < 1:
             raise ConfigError(f"conv block {block}: kernel {cfg.conv.kernel_shape} "
                               f"does not fit its input")
-        if cfg.conv.pool_keep_partial:
-            h = -(-h // ph)
-            w = -(-w // pw)
-        else:
-            h, w = h // ph, w // pw
-            if h < 1 or w < 1:
-                raise ConfigError(f"conv block {block}: pool {cfg.conv.pool_shape} "
-                                  f"does not fit its input")
+        h, w = -(-h // ph), -(-w // pw)  # partial pool windows are kept
     return cfg.conv.kernel_count * h * w
 
 
-class ModelParams:
-    """All trainable tensors, each registered exactly once by name."""
+def param_shapes(cfg: ModelConfig, vocab_size: int) -> dict:
+    """Ordered name -> shape of every trainable tensor.
 
-    def __init__(self, embedding: Tensor, enc_fwd: GRUParams, enc_bwd: GRUParams,
-                 conv_kernels: list, conv_biases: list, ctx_fwd: GRUParams,
-                 ctx_bwd: GRUParams, mlp: MLPParams,
-                 bilinear_m1: Tensor | None = None, bilinear_m2: Tensor | None = None):
-        self.embedding = embedding
-        self.enc_fwd = enc_fwd
-        self.enc_bwd = enc_bwd
-        self.conv_kernels = conv_kernels
-        self.conv_biases = conv_biases
-        self.ctx_fwd = ctx_fwd
-        self.ctx_bwd = ctx_bwd
-        self.mlp = mlp
-        self.bilinear_m1 = bilinear_m1
-        self.bilinear_m2 = bilinear_m2
+    This is the checkpoint order, the order ModelParams.init draws in and the
+    order l2_penalty and adam_step walk.
+    """
+    def prefixed(prefix: str, shapes: dict) -> dict:
+        return {f"{prefix}.{name}": shape for name, shape in shapes.items()}
+
+    hidden = cfg.gru_hidden
+    shapes = {"embedding": (vocab_size, cfg.embed_dim)}
+    for prefix in ("enc_fwd", "enc_bwd"):
+        shapes.update(prefixed(prefix, nn.gru_shapes(cfg.embed_dim, hidden)))
+    in_ch = len(cfg.channels)
+    for block in range(cfg.conv_blocks):
+        shapes[f"conv{block}.kernels"] = (cfg.conv.kernel_count, in_ch, *cfg.conv.kernel_shape)
+        shapes[f"conv{block}.bias"] = (cfg.conv.kernel_count,)
+        in_ch = cfg.conv.kernel_count
+    for prefix in ("ctx_fwd", "ctx_bwd"):
+        shapes.update(prefixed(prefix, nn.gru_shapes(conv_feature_size(cfg), hidden)))
+    shapes.update(prefixed("mlp", nn.mlp_shapes(cfg.c * 2 * hidden, cfg.mlp_hidden)))
+    if cfg.interaction == "bilinear":
+        shapes["bilinear_m1"] = (cfg.embed_dim, cfg.embed_dim)
+        shapes["bilinear_m2"] = (2 * hidden, 2 * hidden)
+    return shapes
+
+
+class ModelParams:
+    """All trainable tensors in one ordered name -> Tensor dict (param_shapes
+    order), with per-layer views onto the same tensors."""
+
+    def __init__(self, tensors: dict):
+        self._tensors = tensors
+
+        def group(prefix: str) -> dict:
+            return {name[len(prefix) + 1:]: t for name, t in tensors.items()
+                    if name.startswith(prefix + ".")}
+
+        self.embedding = tensors["embedding"]
+        self.enc_fwd, self.enc_bwd, self.ctx_fwd, self.ctx_bwd = (
+            GRUParams(**group(p)) for p in ("enc_fwd", "enc_bwd", "ctx_fwd", "ctx_bwd"))
+        self.conv_kernels = [t for name, t in tensors.items() if name.endswith(".kernels")]
+        self.conv_biases = [t for name, t in tensors.items() if name.endswith(".bias")]
+        self.mlp = MLPParams(**group("mlp"))
+        self.bilinear_m1 = tensors.get("bilinear_m1")
+        self.bilinear_m2 = tensors.get("bilinear_m2")
+
+    @classmethod
+    def from_arrays(cls, arrays: dict) -> "ModelParams":
+        """Fresh trainable tensors holding copies of the given name -> array values."""
+        return cls({name: Tensor(np.array(values, dtype=np.float64), requires_grad=True)
+                    for name, values in arrays.items()})
 
     @classmethod
     def init(cls, cfg: ModelConfig, vocab_size: int, seed: int = 0,
@@ -194,76 +219,33 @@ class ModelParams:
         the identity (so a fresh bilinear model scores exactly like dot)."""
         cfg.validate()
         rng = np.random.default_rng([seed, 0])
-        if pretrained_embeddings is not None:
-            emb = np.asarray(pretrained_embeddings, dtype=np.float64)
-            if emb.shape != (vocab_size, cfg.embed_dim):
-                raise ConfigError(f"pretrained embeddings shape {emb.shape} != "
-                                  f"({vocab_size}, {cfg.embed_dim})")
-            embedding = Tensor(emb.copy(), requires_grad=True)
-        else:
-            embedding = Tensor(
-                rng.uniform(-embed_scale, embed_scale, size=(vocab_size, cfg.embed_dim)),
-                requires_grad=True)
-        enc_fwd = GRUParams.init(cfg.embed_dim, cfg.gru_hidden, rng)
-        enc_bwd = GRUParams.init(cfg.embed_dim, cfg.gru_hidden, rng)
-        conv_kernels, conv_biases = [], []
-        rh, rw = cfg.conv.kernel_shape
-        in_ch = len(cfg.channels)
-        for _ in range(cfg.conv_blocks):
-            bound = nn.glorot_bound(in_ch * rh * rw, cfg.conv.kernel_count * rh * rw)
-            conv_kernels.append(Tensor(
-                rng.uniform(-bound, bound, size=(cfg.conv.kernel_count, in_ch, rh, rw)),
-                requires_grad=True))
-            conv_biases.append(Tensor(np.zeros(cfg.conv.kernel_count),
-                                      requires_grad=True))
-            in_ch = cfg.conv.kernel_count
-        feature = conv_feature_size(cfg)
-        ctx_fwd = GRUParams.init(feature, cfg.gru_hidden, rng)
-        ctx_bwd = GRUParams.init(feature, cfg.gru_hidden, rng)
-        mlp = MLPParams.init(cfg.c * 2 * cfg.gru_hidden, cfg.mlp_hidden, rng)
-        bilinear_m1 = bilinear_m2 = None
-        if cfg.interaction == "bilinear":
-            bilinear_m1 = Tensor(np.eye(cfg.embed_dim), requires_grad=True)
-            bilinear_m2 = Tensor(np.eye(2 * cfg.gru_hidden), requires_grad=True)
-        return cls(embedding, enc_fwd, enc_bwd, conv_kernels, conv_biases,
-                   ctx_fwd, ctx_bwd, mlp, bilinear_m1, bilinear_m2)
+        tensors = {}
+        for name, shape in param_shapes(cfg, vocab_size).items():
+            if name == "embedding" and pretrained_embeddings is not None:
+                values = np.array(pretrained_embeddings, dtype=np.float64)
+                if values.shape != shape:
+                    raise ConfigError(f"pretrained embeddings shape {values.shape} != "
+                                      f"{shape}")
+            elif name == "embedding":
+                values = rng.uniform(-embed_scale, embed_scale, size=shape)
+            elif name.startswith("bilinear"):
+                values = np.eye(shape[0])
+            else:
+                values = nn.init_weight(shape, rng)
+            tensors[name] = Tensor(values, requires_grad=True)
+        return cls(tensors)
 
     def registry(self) -> dict:
         """Ordered name -> Tensor map over every trainable parameter."""
-        entries: list[tuple[str, Tensor]] = [("embedding", self.embedding)]
-        entries += self.enc_fwd.named("enc_fwd")
-        entries += self.enc_bwd.named("enc_bwd")
-        for i, (k, b) in enumerate(zip(self.conv_kernels, self.conv_biases)):
-            entries.append((f"conv{i}.kernels", k))
-            entries.append((f"conv{i}.bias", b))
-        entries += self.ctx_fwd.named("ctx_fwd")
-        entries += self.ctx_bwd.named("ctx_bwd")
-        entries += self.mlp.named("mlp")
-        if self.bilinear_m1 is not None:
-            entries.append(("bilinear_m1", self.bilinear_m1))
-        if self.bilinear_m2 is not None:
-            entries.append(("bilinear_m2", self.bilinear_m2))
-        return dict(entries)
+        return self._tensors
 
     def zero_grads(self) -> None:
-        for tensor in self.registry().values():
+        for tensor in self._tensors.values():
             tensor.zero_grad()
 
     def copy(self) -> "ModelParams":
         """Deep copy of all parameter values (gradients are not copied)."""
-        def dup(t: Tensor | None):
-            return None if t is None else Tensor(t.values.copy(), requires_grad=True)
-
-        def dup_gru(p: GRUParams) -> GRUParams:
-            return GRUParams(*[dup(t) for t in p.tensors()])
-
-        return ModelParams(
-            dup(self.embedding), dup_gru(self.enc_fwd), dup_gru(self.enc_bwd),
-            [dup(t) for t in self.conv_kernels], [dup(t) for t in self.conv_biases],
-            dup_gru(self.ctx_fwd), dup_gru(self.ctx_bwd),
-            MLPParams(dup(self.mlp.w1), dup(self.mlp.b1), dup(self.mlp.w2),
-                      dup(self.mlp.b2)),
-            dup(self.bilinear_m1), dup(self.bilinear_m2))
+        return ModelParams.from_arrays({name: t.values for name, t in self._tensors.items()})
 
 
 def load_word_embeddings(path, vocab: Vocabulary, dim: int,
@@ -284,32 +266,6 @@ def load_word_embeddings(path, vocab: Vocabulary, dim: int,
 # ---------------------------------------------------------------------------
 # Forward passes.
 # ---------------------------------------------------------------------------
-
-
-def _interact(a: Tensor, b: Tensor, cfg: ModelConfig, params: ModelParams,
-              channel: str) -> Tensor:
-    bilinear = None
-    if cfg.interaction == "bilinear":
-        bilinear = params.bilinear_m1 if channel == "m1" else params.bilinear_m2
-    return nn.interaction_matrix(a, b, mode=cfg.interaction, bilinear=bilinear)
-
-
-def build_stack(utterance: EncodedText, response: EncodedText, params: ModelParams,
-                cfg: ModelConfig, m3: np.ndarray | None = None) -> Tensor:
-    """Channel stack for one (utterance, response) pair, shape (C, l_r, l_u).
-
-    Rows index response positions and columns utterance positions. PAD
-    positions are masked to zero in every channel.
-    """
-    if ("m3" in cfg.channels) != (m3 is not None):
-        raise ConfigError("m3 must be given exactly when the m3 channel is configured")
-    if m3 is not None and m3.shape != (cfg.l_r, cfg.l_u):
-        raise ConfigError(f"m3 shape {m3.shape} != ({cfg.l_r}, {cfg.l_u})")
-    utt_ids = utterance.ids[None, None, :]   # (1, 1, l_u)
-    resp_ids = response.ids[None, :]         # (1, l_r)
-    stacks = _stack_batch(utt_ids, resp_ids, params, cfg,
-                          None if m3 is None else m3[None, None])
-    return nn.reshape(stacks, stacks.values.shape[2:])
 
 
 @dataclass
@@ -349,18 +305,20 @@ def match_context(ctx: EncodedContext, resp_ids: np.ndarray, params: ModelParams
             * ctx.mask[:, :, None, :])
     mask_t = Tensor(mask.reshape(n_batch, n_turns, l_r, l_u))
 
-    def grid(resp_rows: Tensor, utt_rows: Tensor, channel: str) -> Tensor:
+    def grid(resp_rows: Tensor, utt_rows: Tensor, bilinear: Tensor | None) -> Tensor:
         width = resp_rows.values.shape[-1]
         resp_b = nn.reshape(resp_rows, (blocks, n_ctx, 1, l_r, width))
-        out = _interact(resp_b, utt_rows, cfg, params, channel)  # (B/N, N, c, l_r, l_u)
+        out = nn.interaction_matrix(resp_b, utt_rows, mode=cfg.interaction,
+                                    bilinear=bilinear)  # (B/N, N, c, l_r, l_u)
         return nn.reshape(out, (n_batch, n_turns, l_r, l_u))
 
     channels: list[Tensor] = []
     for channel in cfg.channels:
         if channel == "m1":
-            g = grid(resp_emb, ctx.emb, "m1")
+            g = grid(resp_emb, ctx.emb, params.bilinear_m1)
         elif channel == "m2":
-            g = grid(nn.bigru(resp_emb, params.enc_fwd, params.enc_bwd), ctx.hidden, "m2")
+            g = grid(nn.bigru(resp_emb, params.enc_fwd, params.enc_bwd), ctx.hidden,
+                     params.bilinear_m2)
         else:  # m3
             g = Tensor(np.asarray(m3, dtype=np.float64))
         channels.append(nn.mul(g, mask_t))
@@ -383,7 +341,7 @@ def score_batch(utt_ids: np.ndarray, resp_ids: np.ndarray, params: ModelParams,
     padded turns, where N divides B: response j is scored against context
     j mod N, and each context is encoded once. N = B pairs rows one to one;
     N = 1 scores every response against one context. m3 (required exactly
-    for dmn-kd channel sets) is (B, c, l_r, l_u).
+    for dmn-kd channel sets) is (B, c, l_r, l_u): one grid per response row.
     """
     utt_ids = np.asarray(utt_ids, dtype=np.int64)
     resp_ids = np.asarray(resp_ids, dtype=np.int64)
@@ -394,45 +352,20 @@ def score_batch(utt_ids: np.ndarray, resp_ids: np.ndarray, params: ModelParams,
         raise ConfigError("batch shapes do not match the model configuration")
     if ("m3" in cfg.channels) != (m3 is not None):
         raise ConfigError("m3 must be given exactly when the m3 channel is configured")
+    if m3 is not None and np.shape(m3) != (n_batch, cfg.c, cfg.l_r, cfg.l_u):
+        raise ConfigError(f"m3 shape {np.shape(m3)} != "
+                          f"({n_batch}, {cfg.c}, {cfg.l_r}, {cfg.l_u})")
 
     stacks = _stack_batch(utt_ids, resp_ids, params, cfg, m3)
     x = nn.reshape(stacks, (n_batch * n_turns, len(cfg.channels), cfg.l_r, cfg.l_u))
     for kernels, bias in zip(params.conv_kernels, params.conv_biases):
-        x = nn.conv2d(x, kernels, bias, padding=cfg.conv.padding,
-                      flip_kernels=cfg.conv.flip_kernels)
-        x = nn.max_pool(x, cfg.conv.pool_shape,
-                        keep_partial=cfg.conv.pool_keep_partial)
+        x = nn.conv2d(x, kernels, bias, padding=cfg.conv.padding)
+        x = nn.max_pool(x, cfg.conv.pool_shape)
     features = nn.reshape(x, (n_batch, n_turns, conv_feature_size(cfg)))
     context = nn.bigru(features, params.ctx_fwd, params.ctx_bwd)  # (B, c, 2O)
     flat = nn.reshape(context, (n_batch, n_turns * 2 * cfg.gru_hidden))
     flat = nn.dropout(flat, cfg.dropout, training, dropout_rng)
     return nn.mlp_score(flat, params.mlp)
-
-
-def score(context: Sequence[EncodedText], response: EncodedText, params: ModelParams,
-          cfg: ModelConfig, m3_per_turn: Sequence[np.ndarray] | None = None,
-          training: bool = False,
-          dropout_rng: np.random.Generator | None = None) -> Tensor:
-    """Score one candidate against one context (scalar Tensor in (0, 1)).
-
-    Contexts shorter than cfg.c are padded at the front with all-PAD turns;
-    m3_per_turn, when given, must align with the *padded* turn slots.
-    """
-    if len(context) > cfg.c:
-        raise ConfigError(f"context has {len(context)} turns, model allows {cfg.c}")
-    pad_turns = cfg.c - len(context)
-    utt_ids = np.full((1, cfg.c, cfg.l_u), PAD_ID, dtype=np.int64)
-    for slot, utt in enumerate(context):
-        utt_ids[0, pad_turns + slot] = utt.ids
-    resp_ids = response.ids[None, :]
-    m3 = None
-    if m3_per_turn is not None:
-        if len(m3_per_turn) != cfg.c:
-            raise ConfigError("m3_per_turn must cover every padded turn slot")
-        m3 = np.stack([np.asarray(m, dtype=np.float64) for m in m3_per_turn])[None]
-    out = score_batch(utt_ids, resp_ids, params, cfg, m3=m3, training=training,
-                      dropout_rng=dropout_rng)
-    return nn.reshape(out, ())
 
 
 # ---------------------------------------------------------------------------
@@ -553,30 +486,29 @@ def load_checkpoint(path, vocab_size: int | None = None,
                     provenance: dict | None = None) -> tuple[ModelParams, ModelConfig]:
     """Rebuild (params, config) from save_checkpoint output, bit-exact.
 
-    Each provenance entry must equal the one stored in the checkpoint; a
-    checkpoint saved without that entry is not checked for it.
+    The stored tensors must match param_shapes of the stored config by name
+    and shape. Each provenance entry must equal the one stored in the
+    checkpoint; a checkpoint saved without that entry is not checked for it.
     """
     arrays, meta = nn.load_parameters(path)
     if "model_config" not in meta:
         raise ConfigError(f"{path} is not a model checkpoint")
     cfg = ModelConfig.from_json(str(meta["model_config"]))
-    cfg.validate()
-    if vocab_size is not None and arrays["embedding"].shape[0] != vocab_size:
-        raise ConfigError(f"checkpoint vocabulary size {arrays['embedding'].shape[0]} "
-                          f"!= expected {vocab_size}")
+    n_vocab = arrays["embedding"].shape[0] if "embedding" in arrays else 0
+    shapes = param_shapes(cfg, n_vocab)
+    missing = set(shapes) - set(arrays)
+    extra = set(arrays) - set(shapes)
+    if missing or extra:
+        raise ConfigError(f"checkpoint parameter mismatch: missing {sorted(missing)}, "
+                          f"unexpected {sorted(extra)}")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ConfigError(f"checkpoint shape mismatch for {name}: "
+                              f"{arrays[name].shape} != {shape}")
+    if vocab_size is not None and n_vocab != vocab_size:
+        raise ConfigError(f"checkpoint vocabulary size {n_vocab} != expected {vocab_size}")
     for key, expected in (provenance or {}).items():
         if key in meta and str(meta[key]) != expected:
             raise ConfigError(f"checkpoint was trained with {key} {str(meta[key])!r}, "
                               f"this run has {expected!r}")
-    params = ModelParams.init(cfg, arrays["embedding"].shape[0], seed=0)
-    registry = params.registry()
-    missing = set(registry) - set(arrays)
-    extra = set(arrays) - set(registry)
-    if missing or extra:
-        raise ConfigError(f"checkpoint parameter mismatch: missing {sorted(missing)}, "
-                          f"unexpected {sorted(extra)}")
-    for name, tensor in registry.items():
-        if tensor.values.shape != arrays[name].shape:
-            raise ConfigError(f"checkpoint shape mismatch for {name}")
-        tensor.values[...] = arrays[name]
-    return params, cfg
+    return ModelParams.from_arrays({name: arrays[name] for name in shapes}), cfg

@@ -12,7 +12,7 @@ any of them against central finite differences.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,13 +21,13 @@ from .errors import ConfigError, NumericError
 from .fileio import atomic_write
 
 __all__ = [
-    "Tensor", "no_grad", "add", "sub", "mul", "neg", "divide", "matmul",
+    "Tensor", "no_grad", "add", "sub", "mul", "divide", "matmul",
     "transpose", "reshape", "concat", "stack", "index", "sum_op", "mean_op",
     "sigmoid", "tanh_op", "relu", "sqrt_op", "square", "clamp_min",
     "embedding", "conv2d", "conv2d_linear", "max_pool", "dropout",
-    "softmax_pair", "GRUParams", "MLPParams", "gru_step", "bigru",
-    "interaction_matrix", "mlp_score", "grad_check", "save_parameters",
-    "load_parameters",
+    "init_weight", "gru_shapes", "mlp_shapes", "GRUParams", "MLPParams",
+    "gru_step", "bigru", "interaction_matrix", "mlp_score", "grad_check",
+    "save_parameters", "load_parameters",
 ]
 
 _CHECKPOINT_VERSION = 1
@@ -54,10 +54,6 @@ class Tensor:
     @property
     def shape(self) -> tuple:
         return self.values.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.values.ndim
 
     def item(self) -> float:
         return float(self.values)
@@ -98,32 +94,6 @@ class Tensor:
                 node._backward_fn(g, grads)
             elif node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
-
-    # Operator sugar; everything defers to the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __truediv__(self, other):
-        return divide(self, other)
 
 
 def _tensor(x) -> Tensor:
@@ -203,15 +173,6 @@ def mul(a, b) -> Tensor:
         _accum(grads, b, _unbroadcast(g * a.values, b.values.shape))
 
     return _make(out, (a, b), bw)
-
-
-def neg(a) -> Tensor:
-    a = _tensor(a)
-
-    def bw(g, grads):
-        _accum(grads, a, -g)
-
-    return _make(-a.values, (a,), bw)
 
 
 def divide(a, b) -> Tensor:
@@ -399,12 +360,13 @@ def embedding(table, ids) -> Tensor:
     return _make(out, (table,), bw)
 
 
-def conv2d_linear(x, kernels, bias, padding: int = 0, flip_kernels: bool = False) -> Tensor:
+def conv2d_linear(x, kernels, bias, padding: int = 0) -> Tensor:
     """Valid cross-correlation over channels plus bias, no activation.
 
     x is (N, C, H, W); kernels is (K, C, r_h, r_w); bias is (K,). Output is
-    (N, K, H - r_h + 1, W - r_w + 1) after optional zero padding. With
-    flip_kernels the kernels are spatially reversed (true convolution).
+    (N, K, H - r_h + 1, W - r_w + 1) after optional zero padding. Kernels
+    are never flipped: with learned kernels, true convolution would only
+    reparameterise them.
     """
     x, kernels, bias = _tensor(x), _tensor(kernels), _tensor(bias)
     if x.values.ndim != 4 or kernels.values.ndim != 4:
@@ -418,24 +380,20 @@ def conv2d_linear(x, kernels, bias, padding: int = 0, flip_kernels: bool = False
         raise ConfigError(f"kernel channels {kc} != input channels {c}")
     if rh > h or rw > w:
         raise ConfigError(f"kernel ({rh}x{rw}) larger than padded input ({h}x{w})")
-    w_eff = kernels.values[:, :, ::-1, ::-1] if flip_kernels else kernels.values
     cols = np.lib.stride_tricks.sliding_window_view(xv, (rh, rw), axis=(2, 3))
-    out = np.einsum("nchwst,kcst->nkhw", cols, w_eff, optimize=True)
+    out = np.einsum("nchwst,kcst->nkhw", cols, kernels.values, optimize=True)
     out = out + bias.values[None, :, None, None]
     out_h, out_w = out.shape[2], out.shape[3]
 
     def bw(g, grads):
-        gw = np.einsum("nchwst,nkhw->kcst", cols, g, optimize=True)
-        if flip_kernels:
-            gw = gw[:, :, ::-1, ::-1]
-        _accum(grads, kernels, gw)
+        _accum(grads, kernels, np.einsum("nchwst,nkhw->kcst", cols, g, optimize=True))
         _accum(grads, bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             gx = np.zeros((n, c, h, w), dtype=np.float64)
             for s in range(rh):
                 for t in range(rw):
                     gx[:, :, s:s + out_h, t:t + out_w] += np.einsum(
-                        "nkhw,kc->nchw", g, w_eff[:, :, s, t], optimize=True)
+                        "nkhw,kc->nchw", g, kernels.values[:, :, s, t], optimize=True)
             if padding:
                 gx = gx[:, :, padding:-padding, padding:-padding]
             _accum(grads, x, gx)
@@ -443,19 +401,17 @@ def conv2d_linear(x, kernels, bias, padding: int = 0, flip_kernels: bool = False
     return _make(out, (x, kernels, bias), bw)
 
 
-def conv2d(x, kernels, bias, padding: int = 0, flip_kernels: bool = False) -> Tensor:
+def conv2d(x, kernels, bias, padding: int = 0) -> Tensor:
     """conv2d_linear followed by ReLU."""
-    return relu(conv2d_linear(x, kernels, bias, padding=padding,
-                              flip_kernels=flip_kernels))
+    return relu(conv2d_linear(x, kernels, bias, padding=padding))
 
 
-def max_pool(x, pool_shape: tuple, keep_partial: bool = True) -> Tensor:
+def max_pool(x, pool_shape: tuple) -> Tensor:
     """Non-overlapping max pooling with stride equal to the window.
 
     x is (N, K, H, W); pool_shape (p_rows, p_cols) gives an output of shape
-    (N, K, ceil(H/p_rows), ceil(W/p_cols)) when keep_partial, taking the max
-    over whatever cells a partial edge window covers; with
-    keep_partial=False the remainder region is dropped (floor division).
+    (N, K, ceil(H/p_rows), ceil(W/p_cols)). Partial edge windows are always
+    kept: each takes the max over whatever cells it covers.
     """
     x = _tensor(x)
     if x.values.ndim != 4:
@@ -464,15 +420,8 @@ def max_pool(x, pool_shape: tuple, keep_partial: bool = True) -> Tensor:
     if p_rows < 1 or p_cols < 1:
         raise ConfigError(f"pool window must be >= 1, got {pool_shape}")
     n, k, h, w = x.values.shape
-    if keep_partial:
-        out_h = -(-h // p_rows)
-        out_w = -(-w // p_cols)
-    else:
-        out_h = h // p_rows
-        out_w = w // p_cols
-        if out_h < 1 or out_w < 1:
-            raise ConfigError(f"pool window {pool_shape} larger than input "
-                              f"({h}x{w}) with partial windows disabled")
+    out_h = -(-h // p_rows)
+    out_w = -(-w // p_cols)
     out = np.empty((n, k, out_h, out_w), dtype=np.float64)
     argmaxes = np.empty((n, k, out_h, out_w), dtype=np.int64)
     bounds = []
@@ -521,18 +470,6 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = No
     return _make(x.values * mask, (x,), bw)
 
 
-def softmax_pair(logits) -> Tensor:
-    """Probability of class 1 from 2-way logits (..., 2).
-
-    softmax([a, b])[1] equals sigmoid(b - a), which is how it is computed.
-    """
-    logits = _tensor(logits)
-    if logits.values.shape[-1] != 2:
-        raise ConfigError("softmax_pair expects trailing dimension 2")
-    diff = sub(index(logits, (..., 1)), index(logits, (..., 0)))
-    return sigmoid(diff)
-
-
 # ---------------------------------------------------------------------------
 # Recurrent and scoring blocks.
 # ---------------------------------------------------------------------------
@@ -543,7 +480,28 @@ def glorot_bound(fan_in: int, fan_out: int) -> float:
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
 
-_GRU_FIELDS = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
+def init_weight(shape: tuple, rng: np.random.Generator,
+                scale: float | None = None) -> np.ndarray:
+    """Zeros for a bias (1-D); otherwise uniform in +-scale when given, else in
+    the variance-preserving bound of shape (out, in, *receptive field)."""
+    if len(shape) == 1:
+        return np.zeros(shape)
+    if scale is None:
+        field = int(np.prod(shape[2:]))
+        scale = glorot_bound(shape[1] * field, shape[0] * field)
+    return rng.uniform(-scale, scale, size=shape)
+
+
+def gru_shapes(input_dim: int, hidden: int) -> dict:
+    """GRUParams field -> shape, in field order."""
+    return {**{f"w_{g}": (hidden, input_dim) for g in "zrh"},
+            **{f"u_{g}": (hidden, hidden) for g in "zrh"},
+            **{f"b_{g}": (hidden,) for g in "zrh"}}
+
+
+def mlp_shapes(input_dim: int, hidden: int) -> dict:
+    """MLPParams field -> shape, in field order."""
+    return {"w1": (hidden, input_dim), "b1": (hidden,), "w2": (2, hidden), "b2": (2,)}
 
 
 @dataclass
@@ -564,25 +522,12 @@ class GRUParams:
     def init(cls, input_dim: int, hidden: int, rng: np.random.Generator,
              scale: float | None = None) -> "GRUParams":
         """Variance-preserving uniform weights (or +-scale when given); zero biases."""
-        def w(out_dim, in_dim):
-            bound = scale if scale is not None else glorot_bound(in_dim, out_dim)
-            return Tensor(rng.uniform(-bound, bound, size=(out_dim, in_dim)),
-                          requires_grad=True)
-
-        def b(size):
-            return Tensor(np.zeros(size), requires_grad=True)
-
-        return cls(w_z=w(hidden, input_dim), w_r=w(hidden, input_dim),
-                   w_h=w(hidden, input_dim), u_z=w(hidden, hidden),
-                   u_r=w(hidden, hidden), u_h=w(hidden, hidden),
-                   b_z=b(hidden), b_r=b(hidden), b_h=b(hidden))
+        return cls(**{name: Tensor(init_weight(shape, rng, scale), requires_grad=True)
+                      for name, shape in gru_shapes(input_dim, hidden).items()})
 
     def tensors(self) -> list[Tensor]:
         """The nine tensors in field order."""
-        return [getattr(self, name) for name in _GRU_FIELDS]
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.{name}", t) for name, t in zip(_GRU_FIELDS, self.tensors())]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 def _gru_scan(x: np.ndarray, h0: np.ndarray, p: GRUParams, reverse: bool):
@@ -748,23 +693,15 @@ class MLPParams:
     def init(cls, input_dim: int, hidden: int, rng: np.random.Generator,
              scale: float | None = None) -> "MLPParams":
         """Variance-preserving uniform weights (or +-scale when given); zero biases."""
-        def w(out_dim, in_dim):
-            bound = scale if scale is not None else glorot_bound(in_dim, out_dim)
-            return Tensor(rng.uniform(-bound, bound, size=(out_dim, in_dim)),
-                          requires_grad=True)
-
-        return cls(w1=w(hidden, input_dim), b1=Tensor(np.zeros(hidden), requires_grad=True),
-                   w2=w(2, hidden), b2=Tensor(np.zeros(2), requires_grad=True))
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.{name}", getattr(self, name))
-                for name in ("w1", "b1", "w2", "b2")]
+        return cls(**{name: Tensor(init_weight(shape, rng, scale), requires_grad=True)
+                      for name, shape in mlp_shapes(input_dim, hidden).items()})
 
 
 def mlp_score(features, p: MLPParams) -> Tensor:
     """tanh hidden layer, 2-way output, probability of the positive class.
 
-    Always lands strictly inside (0, 1) for finite inputs.
+    softmax([l0, l1])[1] is computed as sigmoid(l1 - l0), so it always lands
+    strictly inside (0, 1) for finite inputs.
     """
     features = _tensor(features)
     squeeze = features.values.ndim == 1
@@ -772,7 +709,7 @@ def mlp_score(features, p: MLPParams) -> Tensor:
         features = reshape(features, (1,) + features.values.shape)
     hidden = tanh_op(add(matmul(features, transpose(p.w1)), p.b1))
     logits = add(matmul(hidden, transpose(p.w2)), p.b2)
-    score = softmax_pair(logits)
+    score = sigmoid(sub(index(logits, (..., 1)), index(logits, (..., 0))))
     if squeeze:
         score = reshape(score, ())
     return score

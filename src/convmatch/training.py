@@ -105,21 +105,11 @@ def l2_penalty(registry: dict) -> Tensor:
     return total
 
 
-def hinge_loss(f_pos, f_neg, margin: float, l2: float = 0.0,
-               registry: dict | None = None) -> Tensor:
-    """max(0, margin - f_pos + f_neg), plus l2 * ||params||^2 when requested.
-
-    The penalty is added once per call; the batch loop therefore averages
-    the hinge terms first and adds the penalty a single time per batch.
-    """
+def hinge_loss(f_pos, f_neg, margin: float) -> Tensor:
+    """max(0, margin - f_pos + f_neg), elementwise."""
     if margin <= 0:
         raise ConfigError(f"margin must be > 0, got {margin}")
-    loss = nn.relu(nn.add(nn.sub(margin, f_pos), f_neg))
-    if l2 > 0.0:
-        if registry is None:
-            raise ConfigError("l2 > 0 needs the parameter registry")
-        loss = nn.add(loss, nn.mul(l2, l2_penalty(registry)))
-    return loss
+    return nn.relu(nn.add(nn.sub(margin, f_pos), f_neg))
 
 
 def adam_step(registry: dict, state: AdamState, cfg: TrainConfig) -> None:
@@ -225,8 +215,7 @@ def train(train_set: Sequence[DialogExample], valid_set: Sequence[DialogExample]
                                  training=True, dropout_rng=dropout_rng)
             s_pos = nn.index(scores, slice(0, len(batch)))
             s_neg = nn.index(scores, slice(len(batch), None))
-            hinge = nn.relu(nn.add(nn.sub(train_cfg.margin, s_pos), s_neg))
-            loss = nn.mean_op(hinge)
+            loss = nn.mean_op(hinge_loss(s_pos, s_neg, train_cfg.margin))
             if train_cfg.l2 > 0.0:
                 loss = nn.add(loss, nn.mul(train_cfg.l2, l2_penalty(registry)))
             loss_value = float(loss.values)

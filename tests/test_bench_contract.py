@@ -1,0 +1,57 @@
+"""The program API that the benchmark in perfbench/ calls.
+
+The benchmark is kept fixed between changes so that its figures compare, so
+every name it patches or calls must keep existing with the same meaning.
+These tests fail when a change to the package breaks that contract.
+"""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(*args, timeout):
+    return subprocess.run([sys.executable, *map(str, args)], cwd=ROOT, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def test_tracer_finds_every_wrapped_name():
+    from convmatch import model, nn, training
+
+    originals = (model.score_batch, training.adam_step, nn.bigru, nn.Tensor.__init__)
+    tracer = _load_tracing().Tracer({8})
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
+    assert (model.score_batch, training.adam_step, nn.bigru,
+            nn.Tensor.__init__) == originals
+
+
+def test_benchmark_selftest_passes():
+    done = _run(PERFBENCH / "selftest.py", timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_paper_shape_round_is_correct():
+    done = _run(PERFBENCH / "run.py", "--workload", "paper-shape", "--seed", "1",
+                "--seconds", "1", "--trace", "0", timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0

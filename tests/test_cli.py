@@ -1,5 +1,7 @@
 """End-to-end command-line tests over small generated files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from synth import knowledge_benefit_data, lexical_cue_dataset
 from convmatch.cli import RunConfig, build_run_config, load_config_file, main, make_parser
 from convmatch.corpus import load_dataset, save_dataset
 from convmatch.errors import ConfigError
+from convmatch import nn
 from convmatch.model import load_checkpoint, save_checkpoint
 from convmatch.text import Tokenizer, Vocabulary, build_vocab, load_vocab, save_vocab
 
@@ -325,3 +328,32 @@ class TestCheckpointProvenance:
         params, cfg = load_checkpoint(ckpt)
         save_checkpoint(params, cfg, ckpt)  # no provenance, as older checkpoints
         assert main([*rank_flags, "--lowercase", "false"]) == 0
+
+
+class TestMalformedCheckpointConfig:
+    """A checkpoint whose stored model config cannot be read is a configuration
+    error (exit 1) for rank and eval, never a traceback."""
+
+    @pytest.mark.parametrize("edit", [
+        "missing key", "not json", "wrong type", "flipped kernels"])
+    def test_rank_and_eval_exit_one(self, workspace, capsys, edit):
+        tmp_path, paths = workspace
+        assert main(["train", *_model_flags(tmp_path, paths, extra=("--epochs", "0"))]) == 0
+        ckpt = tmp_path / "model.ckpt"
+        arrays, meta = nn.load_parameters(ckpt)
+        data = json.loads(str(meta["model_config"]))
+        if edit == "missing key":
+            del data["l_u"]
+        elif edit == "wrong type":
+            data["gru_hidden"] = "2"
+        elif edit == "flipped kernels":
+            data["conv"]["flip_kernels"] = True
+        payload = "{not json" if edit == "not json" else json.dumps(data)
+        nn.save_parameters({n: nn.Tensor(a) for n, a in arrays.items()}, ckpt,
+                           extra_meta={**{k: str(v) for k, v in meta.items()},
+                                       "model_config": payload})
+        flags = ["--test-file", str(paths["test"]), "--checkpoint", str(ckpt)]
+        capsys.readouterr()
+        assert main(["rank", *flags, "--output", str(tmp_path / "ranking.tsv")]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert main(["eval", *flags, "--output", str(tmp_path / "report.tsv")]) == 1

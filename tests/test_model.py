@@ -1,5 +1,8 @@
 """Model assembly tests, including an unvectorized end-to-end oracle."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -11,11 +14,11 @@ from convmatch.corpus import DialogExample
 from convmatch.errors import ConfigError
 from convmatch.knowledge import KnowledgeSource, ppmi_matrix
 from convmatch.model import (ConvLayerConfig, ModelConfig, ModelParams, PreparedExample,
-                             build_stack, conv_feature_size, load_checkpoint,
-                             load_word_embeddings, prepare_example, rank, rank_prepared,
-                             save_checkpoint, score, score_batch, score_prepared)
+                             _stack_batch, conv_feature_size, load_checkpoint,
+                             load_word_embeddings, param_shapes, prepare_example, rank,
+                             rank_prepared, save_checkpoint, score_batch, score_prepared)
 from convmatch.retrieval import build_index, doc_store
-from convmatch.text import (PAD_ID, PAD_TOKEN, UNK_TOKEN, EncodedText, aligned_tokens,
+from convmatch.text import (PAD_ID, PAD_TOKEN, UNK_TOKEN, aligned_tokens,
                             build_vocab, encode)
 
 
@@ -31,10 +34,20 @@ def tiny_config(**overrides):
     return cfg
 
 
-def _encoded(ids):
-    ids = np.asarray(ids, dtype=np.int64)
-    true_len = int((ids != PAD_ID).sum())
-    return EncodedText(ids=ids, true_len=true_len)
+def _stack(utt_ids, resp_ids, params, cfg):
+    """Channel stack (C, l_r, l_u) of one utterance against one response."""
+    stacks = _stack_batch(np.array([[utt_ids]]), np.array([resp_ids]), params, cfg, None)
+    return stacks.values[0, 0]
+
+
+def _score(utts, resp_ids, params, cfg):
+    """score_batch of one response against one context given as cfg.c turn slots."""
+    return float(score_batch(np.array([utts]), np.array([resp_ids]), params, cfg).values[0])
+
+
+def _prepared(utts, cand_ids):
+    return PreparedExample("d", np.array(utts), np.array(cand_ids),
+                           np.zeros(len(cand_ids), dtype=np.int64), None)
 
 
 class TestModelConfig:
@@ -67,12 +80,118 @@ class TestModelConfig:
         assert tiny_config().conv.in_channels == 2
 
 
+def _digest(params):
+    h = hashlib.sha1()
+    for name, tensor in params.registry().items():
+        h.update(name.encode())
+        h.update(repr(tensor.values.shape).encode())
+        h.update(tensor.values.tobytes())
+    return h.hexdigest()
+
+
+# (config, vocabulary size, seed, SHA-1 of the init arrays, to_json output)
+_PINNED = {
+    "dot, two conv blocks": (
+        dict(channels=("m1", "m2"), l_u=6, l_r=6, c=2, embed_dim=4, gru_hidden=3,
+             conv=ConvLayerConfig(kernel_shape=(2, 2), kernel_count=3, pool_shape=(2, 2)),
+             conv_blocks=2, mlp_hidden=4, dropout=0.0), 12, 7,
+        "897929ce8cec8631309d6ecd944649a4ceaf5663",
+        '{"c": 2, "channels": ["m1", "m2"], "conv": {"flip_kernels": false, '
+        '"kernel_count": 3, "kernel_shape": [2, 2], "padding": 0, '
+        '"pool_keep_partial": true, "pool_shape": [2, 2]}, "conv_blocks": 2, '
+        '"dropout": 0.0, "embed_dim": 4, "gru_hidden": 3, "include_current_turn": true, '
+        '"interaction": "dot", "l_r": 6, "l_u": 6, "mlp_hidden": 4, "truncate": "head", '
+        '"variant": "dmn", "version": 1}'),
+    "dmn-kd, bilinear, padding 1": (
+        dict(variant="dmn-kd", channels=("m1", "m2", "m3"), interaction="bilinear",
+             l_u=5, l_r=4, c=3, embed_dim=4, gru_hidden=2,
+             conv=ConvLayerConfig(kernel_shape=(2, 3), kernel_count=2, pool_shape=(2, 2),
+                                  padding=1),
+             mlp_hidden=3, dropout=0.3), 10, 3,
+        "fc2e5a60d67135d56ee4b2d959688e51eafd6ab3",
+        '{"c": 3, "channels": ["m1", "m2", "m3"], "conv": {"flip_kernels": false, '
+        '"kernel_count": 2, "kernel_shape": [2, 3], "padding": 1, '
+        '"pool_keep_partial": true, "pool_shape": [2, 2]}, "conv_blocks": 1, '
+        '"dropout": 0.3, "embed_dim": 4, "gru_hidden": 2, "include_current_turn": true, '
+        '"interaction": "bilinear", "l_r": 4, "l_u": 5, "mlp_hidden": 3, '
+        '"truncate": "head", "variant": "dmn-kd", "version": 1}'),
+    "default": (
+        {}, 30, 0, "2e461ef4ee76950359af6f7dcde80c87eaad420d",
+        '{"c": 10, "channels": ["m1", "m2"], "conv": {"flip_kernels": false, '
+        '"kernel_count": 8, "kernel_shape": [3, 3], "padding": 0, '
+        '"pool_keep_partial": true, "pool_shape": [3, 3]}, "conv_blocks": 1, '
+        '"dropout": 0.3, "embed_dim": 200, "gru_hidden": 200, '
+        '"include_current_turn": true, "interaction": "dot", "l_r": 50, "l_u": 50, '
+        '"mlp_hidden": 50, "truncate": "head", "variant": "dmn", "version": 1}'),
+}
+
+
+class TestParamTable:
+    """Initial values, tensor order and config JSON are pinned to the bit:
+    checkpoints written by earlier versions must keep loading and scoring."""
+
+    @pytest.mark.parametrize("case", sorted(_PINNED))
+    def test_init_digest_and_json_pinned(self, case):
+        overrides, vocab_size, seed, digest, payload = _PINNED[case]
+        cfg = ModelConfig(**overrides)
+        params = ModelParams.init(cfg, vocab_size, seed=seed)
+        assert _digest(params) == digest
+        assert cfg.to_json() == payload
+        assert ModelConfig.from_json(payload) == cfg
+
+    @pytest.mark.parametrize("case", sorted(_PINNED))
+    def test_registry_follows_shape_table(self, case):
+        overrides, vocab_size, _, _, _ = _PINNED[case]
+        cfg = ModelConfig(**overrides)
+        registry = ModelParams.init(cfg, vocab_size).registry()
+        assert ([(n, t.values.shape) for n, t in registry.items()]
+                == list(param_shapes(cfg, vocab_size).items()))
+
+    def test_views_share_registry_tensors(self):
+        cfg = tiny_config(interaction="bilinear", conv_blocks=1)
+        params = ModelParams.init(cfg, 9)
+        registry = params.registry()
+        assert params.embedding is registry["embedding"]
+        assert params.enc_bwd.u_r is registry["enc_bwd.u_r"]
+        assert params.conv_kernels == [registry["conv0.kernels"]]
+        assert params.conv_biases == [registry["conv0.bias"]]
+        assert params.ctx_fwd.b_z is registry["ctx_fwd.b_z"]
+        assert params.mlp.w2 is registry["mlp.w2"]
+        assert params.bilinear_m2 is registry["bilinear_m2"]
+
+    def test_copy_is_deep_and_ordered(self):
+        params = ModelParams.init(tiny_config(), 9, seed=5)
+        clone = params.copy()
+        assert _digest(clone) == _digest(params)
+        clone.registry()["mlp.b2"].values[0] = 1.0
+        assert params.registry()["mlp.b2"].values[0] == 0.0
+
+    @pytest.mark.parametrize("key,value", [
+        ("l_r", None), ("l_u", "6"), ("c", 2.0), ("channels", 3), ("conv", 3),
+        ("conv.padding", None), ("conv.kernel_shape", 3), ("conv.pool_shape", [2.0, 2]),
+        ("conv.flip_kernels", True), ("conv.pool_keep_partial", False)])
+    def test_from_json_refuses_malformed(self, key, value):
+        data = json.loads(tiny_config().to_json())
+        owner, _, name = key.rpartition(".")
+        target = data[owner] if owner else data
+        if value is None:
+            del target[name]
+        else:
+            target[name] = value
+        with pytest.raises(ConfigError):
+            ModelConfig.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("payload", ['{"version": 1, "variant": "dmn"', "[1]", "7"])
+    def test_from_json_refuses_non_config_json(self, payload):
+        with pytest.raises(ConfigError):
+            ModelConfig.from_json(payload)
+
+
 class TestBuildStack:
     def test_self_similarity_symmetric_positive_diagonal(self):
         cfg = tiny_config()
         params = ModelParams.init(cfg, vocab_size=9, seed=1)
-        enc = _encoded([2, 3, 4, 0])
-        stack = build_stack(enc, enc, params, cfg).values
+        stack = _stack([2, 3, 4, 0], [2, 3, 4, 0], params, cfg)
         m1 = stack[0]
         np.testing.assert_allclose(m1, m1.T, atol=1e-12)
         assert all(m1[i, i] > 0 for i in range(3))
@@ -80,17 +199,13 @@ class TestBuildStack:
     def test_all_pad_utterance_zeroes_channels(self):
         cfg = tiny_config()
         params = ModelParams.init(cfg, vocab_size=9, seed=1)
-        utt = _encoded([0, 0, 0, 0])
-        resp = _encoded([2, 3, 0, 0])
-        stack = build_stack(utt, resp, params, cfg).values
+        stack = _stack([0, 0, 0, 0], [2, 3, 0, 0], params, cfg)
         assert not stack.any()
 
     def test_pad_positions_are_zero_rows_and_columns(self):
         cfg = tiny_config()
         params = ModelParams.init(cfg, vocab_size=9, seed=1)
-        utt = _encoded([2, 3, 0, 0])
-        resp = _encoded([4, 0, 0, 0])
-        stack = build_stack(utt, resp, params, cfg).values
+        stack = _stack([2, 3, 0, 0], [4, 0, 0, 0], params, cfg)
         for channel in stack:
             assert not channel[1:, :].any()   # PAD response rows
             assert not channel[:, 2:].any()   # PAD utterance columns
@@ -99,27 +214,35 @@ class TestBuildStack:
     def test_single_channel_ablation(self):
         cfg = tiny_config(channels=("m1",))
         params = ModelParams.init(cfg, vocab_size=9, seed=1)
-        stack = build_stack(_encoded([2, 0, 0, 0]), _encoded([3, 0, 0, 0]), params, cfg)
-        assert stack.values.shape == (1, 4, 4)
+        assert _stack([2, 0, 0, 0], [3, 0, 0, 0], params, cfg).shape == (1, 4, 4)
 
     def test_m3_shape_checked(self):
         cfg = tiny_config(variant="dmn-kd", channels=("m1", "m2", "m3"))
         params = ModelParams.init(cfg, vocab_size=9, seed=1)
+        utt, resp = np.full((1, 2, 4), 2), np.full((1, 4), 3)
         with pytest.raises(ConfigError):
-            build_stack(_encoded([2, 0, 0, 0]), _encoded([3, 0, 0, 0]), params, cfg,
-                        m3=np.zeros((2, 2)))
+            score_batch(utt, resp, params, cfg, m3=np.zeros((2, 2)))
         with pytest.raises(ConfigError):
-            build_stack(_encoded([2, 0, 0, 0]), _encoded([3, 0, 0, 0]), params, cfg)
+            score_batch(utt, resp, params, cfg)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (1, 2, 4, 4), (4, 4)])
+    def test_m3_needs_one_grid_per_response(self, shape):
+        """A grid that would broadcast over the batch is refused, not shared."""
+        cfg = tiny_config(variant="dmn-kd", channels=("m1", "m2", "m3"))
+        params = ModelParams.init(cfg, vocab_size=9, seed=1)
+        utt, resp = np.full((3, 2, 4), 2), np.full((3, 4), 3)
+        assert score_batch(utt, resp, params, cfg, m3=np.ones((3, 2, 4, 4))).shape == (3,)
+        with pytest.raises(ConfigError, match="m3 shape"):
+            score_batch(utt, resp, params, cfg, m3=np.ones(shape))
 
 
 class TestScore:
     def test_deterministic(self):
         cfg = tiny_config()
         params = ModelParams.init(cfg, vocab_size=9, seed=2)
-        context = [_encoded([2, 3, 0, 0]), _encoded([4, 5, 6, 0])]
-        resp = _encoded([7, 8, 0, 0])
-        first = score(context, resp, params, cfg).item()
-        second = score(context, resp, params, cfg).item()
+        prepared = _prepared([[2, 3, 0, 0], [4, 5, 6, 0]], [[7, 8, 0, 0]])
+        first = score_prepared(prepared, params, cfg)
+        second = score_prepared(prepared, params, cfg)
         assert first == second
 
     def test_zero_conv_and_mlp_gives_half(self):
@@ -129,25 +252,24 @@ class TestScore:
             tensor.values[...] = 0.0
         for tensor in (params.mlp.w1, params.mlp.b1, params.mlp.w2, params.mlp.b2):
             tensor.values[...] = 0.0
-        context = [_encoded([2, 3, 0, 0])]
-        assert score(context, _encoded([4, 0, 0, 0]), params, cfg).item() == 0.5
+        prepared = _prepared([[0, 0, 0, 0], [2, 3, 0, 0]], [[4, 0, 0, 0]])
+        assert score_prepared(prepared, params, cfg) == [0.5]
 
     def test_short_context_padded_in_front(self):
         cfg = tiny_config()
         params = ModelParams.init(cfg, vocab_size=9, seed=2)
-        context = [_encoded([2, 3, 0, 0])]
-        explicit = [_encoded([0, 0, 0, 0]), _encoded([2, 3, 0, 0])]
-        assert (score(context, _encoded([4, 0, 0, 0]), params, cfg).item()
-                == score(explicit, _encoded([4, 0, 0, 0]), params, cfg).item())
+        vocab = build_vocab([["a", "b", "c"]], 1)
+        short = DialogExample("d", [["a", "b"]], [(["c"], 1)])
+        explicit = DialogExample("d", [[], ["a", "b"]], [(["c"], 1)])
+        assert (score_prepared(prepare_example(short, vocab, cfg), params, cfg)
+                == score_prepared(prepare_example(explicit, vocab, cfg), params, cfg))
 
     def test_score_in_open_interval(self):
         cfg = tiny_config()
         params = ModelParams.init(cfg, vocab_size=9, seed=3)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            context = [_encoded(rng.integers(2, 9, 4)) for _ in range(2)]
-            resp = _encoded(rng.integers(2, 9, 4))
-            value = score(context, resp, params, cfg).item()
+            value = _score(rng.integers(2, 9, (2, 4)), rng.integers(2, 9, 4), params, cfg)
             assert 0.0 < value < 1.0
 
     @pytest.mark.parametrize("seed", range(3))
@@ -158,7 +280,7 @@ class TestScore:
         utts = [rng.integers(2, 9, 4).tolist() + [0] * 0 for _ in range(2)]
         utts = [u[:3] + [0] for u in utts]    # one PAD per utterance
         resp = rng.integers(2, 9, 3).tolist() + [0]
-        ours = score([_encoded(u) for u in utts], _encoded(resp), params, cfg).item()
+        ours = _score(utts, resp, params, cfg)
         ref = _oracle_score(utts, resp, params, cfg)
         assert ours == pytest.approx(ref, abs=1e-9)
 
@@ -352,15 +474,30 @@ class TestCheckpoint:
         cfg = tiny_config(interaction="bilinear")
         params = ModelParams.init(cfg, vocab_size=9, seed=4)
         rng = np.random.default_rng(1)
-        context = [_encoded(rng.integers(2, 9, 4)) for _ in range(2)]
-        resp = _encoded(rng.integers(2, 9, 4))
-        before = score(context, resp, params, cfg).item()
+        prepared = _prepared(rng.integers(2, 9, (2, 4)), rng.integers(2, 9, (1, 4)))
+        before = score_prepared(prepared, params, cfg)
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, cfg, path)
         loaded_params, loaded_cfg = load_checkpoint(path, vocab_size=9)
         assert loaded_cfg == cfg
-        after = score(context, resp, loaded_params, loaded_cfg).item()
+        after = score_prepared(prepared, loaded_params, loaded_cfg)
         assert before == after
+
+    @pytest.mark.parametrize("tamper", ["missing", "extra", "shape"])
+    def test_tensor_set_must_match_config(self, tmp_path, tamper):
+        cfg = tiny_config()
+        arrays = {n: t.values for n, t in ModelParams.init(cfg, 9, seed=4).registry().items()}
+        if tamper == "missing":
+            del arrays["ctx_bwd.b_h"]
+        elif tamper == "extra":
+            arrays["conv1.kernels"] = np.zeros((2, 2, 2, 2))
+        else:
+            arrays["mlp.w2"] = np.zeros((3, cfg.mlp_hidden))
+        path = tmp_path / "model.ckpt"
+        nn.save_parameters({n: nn.Tensor(a) for n, a in arrays.items()}, path,
+                           extra_meta={"model_config": cfg.to_json()})
+        with pytest.raises(ConfigError, match="ctx_bwd.b_h|conv1.kernels|mlp.w2"):
+            load_checkpoint(path)
 
     def test_vocab_size_mismatch_rejected(self, tmp_path):
         cfg = tiny_config()

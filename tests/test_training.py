@@ -7,7 +7,8 @@ from synth import dataset_vocab, lexical_cue_dataset
 from convmatch import nn
 from convmatch.corpus import DialogExample
 from convmatch.errors import ConfigError, NumericError
-from convmatch.model import ConvLayerConfig, ModelConfig, ModelParams, score_batch
+from convmatch.model import (ConvLayerConfig, ModelConfig, ModelParams, prepare_example,
+                             score_batch)
 from convmatch.nn import Tensor
 from convmatch.training import (AdamState, TrainConfig, adam_step, hinge_loss,
                                 l2_penalty, make_triples, train, write_log)
@@ -55,15 +56,6 @@ class TestHingeLoss:
         for _ in range(50):
             f_pos, f_neg = rng.uniform(-2, 2, 2)
             assert hinge_loss(float(f_pos), float(f_neg), margin=1.0).item() >= 0.0
-
-    def test_l2_term_added_once(self):
-        registry = {"w": Tensor(np.array([3.0, 4.0]), requires_grad=True)}
-        value = hinge_loss(2.0, 0.0, margin=1.0, l2=0.1, registry=registry).item()
-        assert value == pytest.approx(0.1 * 25.0, abs=1e-12)
-
-    def test_penalty_needs_registry(self):
-        with pytest.raises(ConfigError):
-            hinge_loss(1.0, 0.0, margin=1.0, l2=0.5)
 
     def test_zero_iff_margin_satisfied_everywhere(self, rng):
         margin = 1.0
@@ -200,6 +192,24 @@ class TestTrain:
         train_set, _, vocab, cfg = _train_setup()
         with pytest.raises(ConfigError):
             train(train_set, [], vocab, cfg, TrainConfig(epochs=1))
+
+    def test_first_batch_loss_is_mean_hinge_plus_l2_once(self):
+        train_set, valid_set, vocab, cfg = _train_setup()
+        triples, _ = make_triples(train_set)
+        tcfg = TrainConfig(epochs=1, seed=5, batch_size=len(triples), l2=0.01)
+        # the epoch's only batch holds every triple, so its loss is the logged loss
+        logged = train(train_set, valid_set, vocab, cfg, tcfg).log[0][1]
+
+        params = ModelParams.init(cfg, len(vocab), seed=tcfg.seed)
+        prepared = [prepare_example(ex, vocab, cfg) for ex in train_set]
+        utt = np.stack([prepared[e].utt_ids for e, _, _ in triples])
+        pos = np.stack([prepared[e].cand_ids[p] for e, p, _ in triples])
+        neg = np.stack([prepared[e].cand_ids[n] for e, _, n in triples])
+        hinge = np.maximum(0.0, 1.0 - score_batch(utt, pos, params, cfg).values
+                           + score_batch(utt, neg, params, cfg).values).mean()
+        norm2 = sum(float((t.values ** 2).sum()) for t in params.registry().values())
+        assert hinge > 0.1 and 0.01 * norm2 > 0.1
+        assert logged == pytest.approx(hinge + 0.01 * norm2, rel=1e-12)
 
     def test_l2_regularized_run_finishes_finite(self):
         train_set, valid_set, vocab, cfg = _train_setup()
