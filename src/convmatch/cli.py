@@ -165,6 +165,8 @@ def load_config_file(path) -> dict:
     """Parse a key=value config file; '#' starts a comment, blanks ignored."""
     values: dict = {}
     known = {f.name: f for f in fields(RunConfig)}
+    if not os.path.exists(path):
+        raise ConfigError(f"config path does not exist: {path}")
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -177,7 +179,10 @@ def load_config_file(path) -> dict:
             key = key.strip()
             if key not in known:
                 raise ConfigError(f"{path}:{line_no}: unknown setting {key!r}")
-            values[key] = _field_parser(known[key])(raw.strip())
+            try:
+                values[key] = _field_parser(known[key])(raw.strip())
+            except ValueError as exc:  # int()/float() failures and ConfigError alike
+                raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
     return values
 
 

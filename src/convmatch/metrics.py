@@ -6,6 +6,7 @@ counted rather than contributing zeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -135,7 +136,8 @@ def read_ranking_file(path) -> list[RankedLabels]:
     """Read group_id<TAB>score<TAB>label rows into ranked groups.
 
     Rows are grouped by id (groups ordered by first appearance) and sorted
-    within each group by descending score; ties keep file order.
+    within each group by descending score; ties keep file order. A NaN
+    score is a ParseError: it would make the order depend on row order.
     """
     rows_by_group: dict = {}
     with open(path, encoding="utf-8") as fh:
@@ -151,6 +153,8 @@ def read_ranking_file(path) -> list[RankedLabels]:
                 score = float(score_raw)
             except ValueError:
                 raise ParseError(f"bad score {score_raw!r}", line_no) from None
+            if math.isnan(score):
+                raise ParseError(f"NaN score {score_raw!r}", line_no)
             if label_raw not in ("0", "1"):
                 raise ParseError(f"non-binary label {label_raw!r}", line_no)
             rows_by_group.setdefault(group_id, []).append((score, int(label_raw)))

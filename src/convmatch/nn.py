@@ -386,7 +386,12 @@ def conv2d_linear(x, kernels, bias, padding: int = 0) -> Tensor:
     out_h, out_w = out.shape[2], out.shape[3]
 
     def bw(g, grads):
-        _accum(grads, kernels, np.einsum("nchwst,nkhw->kcst", cols, g, optimize=True))
+        # one (K, N*H'*W') x (N*H'*W', C*r_h*r_w) product: the operands and
+        # layout np.einsum("nchwst,nkhw->kcst") multiplies, without its planning
+        rows = n * out_h * out_w
+        g_rows = g.transpose(1, 0, 2, 3).reshape(k, rows)
+        im2col = cols.transpose(0, 2, 3, 1, 4, 5).reshape(rows, c * rh * rw)
+        _accum(grads, kernels, (g_rows @ im2col).reshape(k, c, rh, rw))
         _accum(grads, bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             gx = np.zeros((n, c, h, w), dtype=np.float64)
@@ -411,7 +416,11 @@ def max_pool(x, pool_shape: tuple) -> Tensor:
 
     x is (N, K, H, W); pool_shape (p_rows, p_cols) gives an output of shape
     (N, K, ceil(H/p_rows), ceil(W/p_cols)). Partial edge windows are always
-    kept: each takes the max over whatever cells it covers.
+    kept: each takes the max over whatever cells it covers. A window holding
+    a NaN pools to NaN. The gradient of each output goes to one cell of its
+    window: the first NaN if there is one, else the first maximum, scanning
+    the window row by row. Where +0.0 and -0.0 tie for the maximum the pooled
+    zero may have either sign (a ReLU output holds no -0.0).
     """
     x = _tensor(x)
     if x.values.ndim != 4:
@@ -420,30 +429,36 @@ def max_pool(x, pool_shape: tuple) -> Tensor:
     if p_rows < 1 or p_cols < 1:
         raise ConfigError(f"pool window must be >= 1, got {pool_shape}")
     n, k, h, w = x.values.shape
-    out_h = -(-h // p_rows)
-    out_w = -(-w // p_cols)
-    out = np.empty((n, k, out_h, out_w), dtype=np.float64)
-    argmaxes = np.empty((n, k, out_h, out_w), dtype=np.int64)
-    bounds = []
-    for i in range(out_h):
-        r0, r1 = i * p_rows, min(h, (i + 1) * p_rows)
-        for j in range(out_w):
-            c0, c1 = j * p_cols, min(w, (j + 1) * p_cols)
-            window = x.values[:, :, r0:r1, c0:c1].reshape(n, k, -1)
-            idx = window.argmax(axis=2)
-            out[:, :, i, j] = np.take_along_axis(window, idx[:, :, None], axis=2)[:, :, 0]
-            argmaxes[:, :, i, j] = idx
-            bounds.append((i, j, r0, r1, c0, c1))
+    full_h, full_w = -(-h // p_rows) * p_rows, -(-w // p_cols) * p_cols
+    xv = x.values
+    if (full_h, full_w) != (h, w):
+        # -inf never beats a covered cell, and the first tap of every window
+        # is covered, so padding changes neither the output nor the routing
+        xv = np.full((n, k, full_h, full_w), -np.inf)
+        xv[:, :, :h, :w] = x.values
+    # one strided view per window position, in row-major window order
+    taps = [(s, t, xv[:, :, s::p_rows, t::p_cols])
+            for s in range(p_rows) for t in range(p_cols)]
+    out = taps[0][2].copy()
+    for _, _, tap in taps[1:]:
+        np.maximum(out, tap, out=out)
 
     def bw(g, grads):
-        gx = np.zeros_like(x.values)
-        for i, j, r0, r1, c0, c1 in bounds:
-            width = c1 - c0
-            idx = argmaxes[:, :, i, j]
-            rows = r0 + idx // width
-            cols_ = c0 + idx % width
-            nn_idx, kk_idx = np.indices((n, k))
-            gx[nn_idx, kk_idx, rows, cols_] += g[:, :, i, j]
+        gx = np.zeros_like(x.values)  # keeps x's layout, and so later sum orders
+        g_full = gx if xv is x.values else np.zeros(xv.shape)
+        g = g + 0.0  # a -0.0 gradient lands as 0.0, as 0.0 + g always gave
+        nan_windows = np.isnan(out).any()  # then a NaN tap is the match
+        todo = np.ones(out.shape, dtype=bool)
+        hit = np.empty(out.shape, dtype=bool)
+        for s, t, tap in taps:
+            np.equal(tap, out, out=hit)
+            if nan_windows:
+                hit |= np.isnan(tap)
+            hit &= todo
+            todo ^= hit
+            np.copyto(g_full[:, :, s::p_rows, t::p_cols], g, where=hit)
+        if g_full is not gx:
+            gx[...] = g_full[:, :, :h, :w]
         _accum(grads, x, gx)
 
     return _make(out, (x,), bw)

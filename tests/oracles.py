@@ -211,6 +211,29 @@ def max_pool(x, p_rows, p_cols):
     return out
 
 
+def max_pool_grad(x, g, p_rows, p_cols):
+    """Input gradient of max_pool: each output's gradient goes to one cell
+    of its window, the first NaN if there is one, else the first maximum,
+    scanning the window row by row. x is (K, H, W) lists, g the output
+    gradient (K, ceil(H/p_rows), ceil(W/p_cols))."""
+    k = len(x)
+    h, w = len(x[0]), len(x[0][0])
+    grad = [[[0.0] * w for _ in range(h)] for _ in range(k)]
+    for kk in range(k):
+        for i in range(len(g[kk])):
+            for j in range(len(g[kk][i])):
+                cells = [(s, t) for s in range(i * p_rows, min(h, (i + 1) * p_rows))
+                         for t in range(j * p_cols, min(w, (j + 1) * p_cols))]
+                nans = [(s, t) for s, t in cells if math.isnan(x[kk][s][t])]
+                if nans:
+                    s, t = nans[0]
+                else:
+                    best = max(x[kk][s][t] for s, t in cells)
+                    s, t = next((s, t) for s, t in cells if x[kk][s][t] == best)
+                grad[kk][s][t] += g[kk][i][j]
+    return grad
+
+
 def mlp_score(features, w1, b1, w2, b2):
     """Scalar-loop tanh layer, two logits, softmax probability of class 1."""
     hidden = []

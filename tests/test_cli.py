@@ -77,6 +77,22 @@ class TestConfigFile:
         assert cfg.epochs == 9
         assert cfg.seed == 1
 
+    @pytest.mark.parametrize("line", ["c = abc", "pool_shape = 3,x", "dropout = 0.x",
+                                      "lowercase = maybe"])
+    def test_unparsable_value_is_exit_one_with_file_and_line(self, tmp_path, capsys, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"epochs = 2\n{line}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: bad value"):
+            load_config_file(path)
+        assert main(["train", "--config", str(path)]) == 1
+        assert f"{path}:2: bad value for {line.split()[0]!r}" in capsys.readouterr().err
+
+    def test_missing_config_path_is_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        assert main(["rank", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "absent.cfg" in err
+
     def test_validation_rejects_bad_values_before_work(self):
         cfg = RunConfig(dropout=1.5)
         with pytest.raises(ConfigError):
@@ -226,6 +242,13 @@ class TestExitCodes:
                      "--output", str(tmp_path / "out.tsv"), "--n-neg", "0"])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+
+    def test_nan_score_in_ranking_file_is_two(self, tmp_path, capsys):
+        ranking = tmp_path / "ranking.tsv"
+        ranking.write_text("g1\t0.9\t1\ng1\tnan\t0\n", encoding="utf-8")
+        assert main(["eval", "--ranking-file", str(ranking)]) == 2
+        assert "line 2: NaN score" in capsys.readouterr().err
 
 
 class TestKnowledgeCaches:

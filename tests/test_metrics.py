@@ -142,6 +142,19 @@ class TestRankingFile:
         with pytest.raises(ParseError, match="non-binary"):
             read_ranking_file(path)
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "-nan"])
+    def test_nan_score_rejected(self, tmp_path, raw):
+        path = tmp_path / "ranking.tsv"
+        path.write_text(f"g1\t0.5\t1\ng1\t{raw}\t0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: NaN score"):
+            read_ranking_file(path)
+
+    def test_infinite_scores_kept_and_ordered(self, tmp_path):
+        path = tmp_path / "ranking.tsv"
+        path.write_text("g1\t-inf\t1\ng1\t0.5\t0\ng1\tinf\t0\ng1\t-Infinity\t0\n",
+                        encoding="utf-8")
+        assert read_ranking_file(path)[0].labels == [0, 0, 1, 0]
+
     def test_report_file_round_trip(self, tmp_path):
         report = MetricsReport(map=0.51, mrr=0.51, recalls={1: 0.3, 2: 0.5, 5: 0.9},
                                groups=10, groups_skipped=1)

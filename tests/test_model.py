@@ -20,6 +20,7 @@ from convmatch.model import (ConvLayerConfig, ModelConfig, ModelParams, Prepared
 from convmatch.retrieval import build_index, doc_store
 from convmatch.text import (PAD_ID, PAD_TOKEN, UNK_TOKEN, aligned_tokens,
                             build_vocab, encode)
+from convmatch.training import hinge_loss
 
 
 def tiny_config(**overrides):
@@ -529,6 +530,54 @@ class TestStackedConvBlocks:
             tiny_config(conv=ConvLayerConfig(kernel_shape=(3, 3), kernel_count=2,
                                              pool_shape=(3, 3)),
                         conv_blocks=2)
+
+
+def _grad_digest(params, loss):
+    h = hashlib.sha1(loss.values.tobytes())
+    for name, tensor in params.registry().items():
+        h.update(name.encode())
+        h.update(tensor.grad.tobytes())
+    return h.hexdigest()
+
+
+# (config, SHA-1 of the loss and every parameter gradient after one step)
+_TRAIN_STEP = {
+    "dmn, 3x3 pool over 6x6": (
+        dict(l_u=8, l_r=8, c=3, embed_dim=5, gru_hidden=4, mlp_hidden=6, dropout=0.3,
+             conv=ConvLayerConfig(kernel_shape=(3, 3), kernel_count=4,
+                                  pool_shape=(3, 3))),
+        "ef3336c12e5b567dc466fa5ce871b7ac5fd4c051"),
+    "dmn-kd, 2x2 pool over 5x5": (
+        dict(variant="dmn-kd", channels=("m1", "m2", "m3"), l_u=6, l_r=6, c=3,
+             embed_dim=5, gru_hidden=4, mlp_hidden=6, dropout=0.0,
+             conv=ConvLayerConfig(kernel_shape=(2, 2), kernel_count=3,
+                                  pool_shape=(2, 2))),
+        "27ac26301c02a006f75870fb732f71272b181685"),
+}
+
+
+class TestTrainStepGradients:
+    """The gradients of one training step are pinned to the bit: a faster conv
+    or pooling kernel must route and sum every gradient exactly as before.
+    The digests depend on the summation order of numpy's BLAS build."""
+
+    @pytest.mark.parametrize("case", sorted(_TRAIN_STEP))
+    def test_gradient_digest_pinned(self, case):
+        overrides, digest = _TRAIN_STEP[case]
+        cfg = tiny_config(**overrides)
+        params = ModelParams.init(cfg, vocab_size=12, seed=4)
+        rng = np.random.default_rng(9)
+        utt = rng.integers(1, 12, size=(3, cfg.c, cfg.l_u))
+        utt[0, 0] = PAD_ID  # an empty turn slot: all-zero grids, tied ReLU windows
+        utt[1, :, -2:] = PAD_ID
+        resp = rng.integers(1, 12, size=(6, cfg.l_r))
+        m3 = rng.random((6, cfg.c, cfg.l_r, cfg.l_u)) if "m3" in cfg.channels else None
+        scores = score_batch(utt, resp, params, cfg, m3=m3, training=True,
+                             dropout_rng=np.random.default_rng(3))
+        loss = nn.mean_op(hinge_loss(nn.index(scores, slice(0, 3)),
+                                     nn.index(scores, slice(3, None)), 1.0))
+        loss.backward()
+        assert _grad_digest(params, loss) == digest
 
 
 class TestTruncateVariants:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import gru_weights_dict
@@ -303,6 +305,31 @@ class TestConv2d:
         err = nn.grad_check(nn.conv2d, [x, kernels, bias], projection_rng=rng)
         assert err < 1e-6
 
+    @pytest.mark.parametrize("x_shape,k_shape,padding", [
+        ((128, 2, 6, 6), (4, 2, 2, 2), 0), ((6, 3, 7, 5), (3, 3, 2, 3), 1),
+        ((12, 2, 50, 50), (8, 2, 3, 3), 0)])
+    def test_kernel_gradient_equals_einsum_contraction(self, rng, x_shape, k_shape, padding):
+        x = Tensor(rng.standard_normal(x_shape))
+        kernels = _t(rng, *k_shape)
+        out = nn.conv2d_linear(x, kernels, _t(rng, k_shape[0]), padding=padding)
+        g = rng.standard_normal(out.shape)
+        out.backward(g)
+        xv = np.pad(x.values, [(0, 0), (0, 0)] + [(padding, padding)] * 2)
+        cols = np.lib.stride_tricks.sliding_window_view(xv, k_shape[2:], axis=(2, 3))
+        np.testing.assert_array_equal(
+            kernels.grad, np.einsum("nchwst,nkhw->kcst", cols, g, optimize=True))
+
+    def test_gradients_with_padding(self, rng):
+        x = _t(rng, 2, 2, 4, 5)
+        kernels = _t(rng, 2, 2, 3, 2)
+        bias = Tensor(rng.standard_normal(2) + 3.0, requires_grad=True)
+        pre = nn.conv2d_linear(x, kernels, bias, padding=1).values
+        assert pre.shape == (2, 2, 4, 6)
+        assert np.abs(pre).min() > 1e-3  # kink exclusion precondition
+        err = nn.grad_check(lambda *args: nn.conv2d(*args, padding=1),
+                            [x, kernels, bias], projection_rng=rng)
+        assert err < 1e-6
+
 
 class TestMaxPool:
     def test_constant_input(self):
@@ -333,6 +360,78 @@ class TestMaxPool:
         x = Tensor(rng.standard_normal((1, 2, 4, 4)) * 5.0, requires_grad=True)
         err = nn.grad_check(lambda t: nn.max_pool(t, (2, 2)), [x], projection_rng=rng)
         assert err < 1e-6
+
+    def test_ties_route_to_first_maximum_in_window_order(self):
+        x = np.zeros((1, 2, 4, 4))  # channel 0: all-zero windows, as after a ReLU
+        x[0, 1, :2, :2] = [[1.0, 3.0], [3.0, 2.0]]
+        x[0, 1, :2, 2:] = [[0.0, 0.0], [5.0, 5.0]]
+        out, grad = _pool_and_grad(x, (2, 2), np.arange(1.0, 9.0).reshape(1, 2, 2, 2))
+        expected = np.zeros_like(x)
+        expected[0, 0, ::2, ::2] = [[1.0, 2.0], [3.0, 4.0]]
+        expected[0, 1, 0, 1] = 5.0
+        expected[0, 1, 1, 2] = 6.0
+        expected[0, 1, 2, 0] = 7.0
+        expected[0, 1, 2, 2] = 8.0
+        np.testing.assert_array_equal(out[0, 1], [[3.0, 5.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(grad, expected)
+
+    @pytest.mark.parametrize("shape,pool", [((5, 5), (2, 2)), ((5, 7), (2, 3))])
+    def test_partial_windows_match_oracle_with_gradient(self, rng, shape, pool):
+        x = rng.standard_normal((2, 3) + shape)
+        out_shape = (2, 3, -(-shape[0] // pool[0]), -(-shape[1] // pool[1]))
+        g = rng.standard_normal(out_shape)
+        out, grad = _pool_and_grad(x, pool, g)
+        for n in range(2):
+            np.testing.assert_array_equal(out[n], oracles.max_pool(x[n].tolist(), *pool))
+            np.testing.assert_array_equal(
+                grad[n], oracles.max_pool_grad(x[n].tolist(), g[n].tolist(), *pool))
+
+    def test_nan_routes_to_first_nan(self):
+        x = np.zeros((1, 1, 3, 3))
+        x[0, 0, :2, :2] = [[9.0, np.nan], [np.nan, 1.0]]
+        x[0, 0, 2, 2] = np.nan  # alone in a partial corner window
+        out, grad = _pool_and_grad(x, (2, 2), np.full((1, 1, 2, 2), 2.0))
+        assert np.isnan(out[0, 0, 0, 0]) and np.isnan(out[0, 0, 1, 1])
+        expected = np.zeros((3, 3))
+        expected[0, 1] = expected[0, 2] = expected[2, 0] = expected[2, 2] = 2.0
+        np.testing.assert_array_equal(grad[0, 0], expected)
+        np.testing.assert_array_equal(
+            grad[0], oracles.max_pool_grad(x[0].tolist(), [[[2.0] * 2] * 2], 2, 2))
+
+    @pytest.mark.parametrize("shape", [(4, 6), (5, 7)])
+    def test_gradient_keeps_input_memory_layout(self, rng, shape):
+        values = rng.standard_normal(shape + (2, 3)).transpose(2, 3, 0, 1)
+        assert not values.flags.c_contiguous
+        x = Tensor(values, requires_grad=True)
+        out = nn.max_pool(x, (2, 3))
+        g = rng.standard_normal(out.shape)
+        out.backward(g)
+        assert x.grad.strides == values.strides
+        _, grad = _pool_and_grad(np.ascontiguousarray(values), (2, 3), g)
+        np.testing.assert_array_equal(x.grad, grad)
+
+    @given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 9), st.integers(1, 9),
+           st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_tie_heavy_inputs(self, n, k, h, w, p_rows, p_cols, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, size=(n, k, h, w)).astype(np.float64)
+        g = rng.integers(1, 100, size=(n, k, -(-h // p_rows), -(-w // p_cols))) * 1.0
+        out, grad = _pool_and_grad(x, (p_rows, p_cols), g)
+        for i in range(n):
+            np.testing.assert_array_equal(out[i], oracles.max_pool(x[i].tolist(),
+                                                                   p_rows, p_cols))
+            np.testing.assert_array_equal(
+                grad[i], oracles.max_pool_grad(x[i].tolist(), g[i].tolist(),
+                                               p_rows, p_cols))
+
+
+def _pool_and_grad(x, pool, g):
+    """max_pool output and the input gradient for output gradient g."""
+    t = Tensor(x, requires_grad=True)
+    out = nn.max_pool(t, pool)
+    out.backward(g)
+    return out.values, t.grad
 
 
 class TestMlpScore:
