@@ -33,7 +33,7 @@ hits = search(index, response, k=2)
 print("retrieved:", [doc_id for doc_id, _ in hits])
 
 # Step 2: a maximum-likelihood language model over those documents.
-model = feedback_language_model([docs[d] for d, _ in hits], [d for d, _ in hits])
+model = feedback_language_model([docs[d] for d, _ in hits])
 top = sorted(model.term_probs.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
 print("most probable feedback terms:", [f"{t} ({p:.3f})" for t, p in top])
 

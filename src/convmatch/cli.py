@@ -257,10 +257,9 @@ def cmd_build_data(cfg: RunConfig) -> None:
           f"({cfg.n_neg} negatives each) to {cfg.output}")
 
 
-def _load_knowledge(cfg: RunConfig, tokenizer: text.Tokenizer,
-                    model_cfg: model.ModelConfig) -> knowledge.KnowledgeSource | None:
-    if model_cfg.variant == "dmn":
-        return None
+def _load_knowledge(cfg: RunConfig, tokenizer: text.Tokenizer) -> knowledge.KnowledgeSource:
+    """The QA collection, its index and the retrieval settings, with caches
+    under cache_dir when that is set."""
     cfg.require_files("qa_file", "index_file")
     pairs, _ = corpus.load_qa_pairs(cfg.qa_file, tokenizer)
     index = retrieval.load_index(cfg.index_file)
@@ -301,7 +300,7 @@ def cmd_train(cfg: RunConfig) -> None:
         text.save_vocab(vocab, vocab_path)
         print(f"built vocabulary of {len(vocab)} tokens -> {vocab_path}")
 
-    source = _load_knowledge(cfg, tokenizer, model_cfg)
+    source = None if model_cfg.variant == "dmn" else _load_knowledge(cfg, tokenizer)
     init_params = None
     if cfg.embeddings_file:
         cfg.require_files("embeddings_file")
@@ -332,7 +331,7 @@ def _rank_dataset(cfg: RunConfig) -> tuple[list, list]:
     params, model_cfg = model.load_checkpoint(cfg.checkpoint, vocab_size=len(vocab),
                                               provenance=text.provenance(tokenizer, vocab))
     dataset = corpus.load_dataset(cfg.test_file, tokenizer, max_context_turns=model_cfg.c)
-    source = _load_knowledge(cfg, tokenizer, model_cfg)
+    source = None if model_cfg.variant == "dmn" else _load_knowledge(cfg, tokenizer)
     rows = []
     groups = []
     for example in dataset:
@@ -385,20 +384,16 @@ def cmd_expand(cfg: RunConfig) -> None:
     cfg.require_outputs("output")
     tokenizer = cfg.tokenizer()
     dataset = corpus.load_dataset(cfg.test_file, tokenizer, max_context_turns=cfg.c)
-    pairs, _ = corpus.load_qa_pairs(cfg.qa_file, tokenizer)
-    index = retrieval.load_index(cfg.index_file)
-    docs = retrieval.doc_store(pairs, index.field_name)
+    source = _load_knowledge(cfg, tokenizer)
     count = 0
     with open(cfg.output, "w", encoding="utf-8") as fh:
         for example in dataset:
             for cand_idx, (tokens, _) in enumerate(example.candidates):
-                expanded = knowledge.expand_response(
-                    tokens, index, docs, prf_docs=cfg.prf_docs,
-                    prf_terms=cfg.prf_terms, k1=cfg.bm25_k1, b=cfg.bm25_b)
-                appended = expanded[len(tokens):]
+                appended = source.expand(tokens)[len(tokens):]
                 fh.write(f"{example.dialog_id}\t{cand_idx}\t{' '.join(tokens)}\t"
                          f"{' '.join(appended)}\n")
                 count += 1
+    source.save_caches()
     print(f"wrote {count} expansion rows to {cfg.output}")
 
 

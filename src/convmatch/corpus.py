@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
+from .fileio import atomic_write
 from .retrieval import InvertedIndex, search
 from .text import Tokenizer, tokenize
 
@@ -125,7 +126,7 @@ def load_dataset(path, tokenizer: Tokenizer = Tokenizer(),
 
 def save_dataset(examples: Iterable[DialogExample], path) -> None:
     """Write examples back out in the dataset TSV format."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for example in examples:
             context = f" {TURN_DELIMITER} ".join(" ".join(u) for u in example.context)
             for tokens, label in example.candidates:

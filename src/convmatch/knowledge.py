@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ class FeedbackModel:
     """Maximum-likelihood term distribution over a feedback document set."""
 
     term_probs: dict
-    source_doc_ids: list
 
     def top_terms(self, n: int) -> list[str]:
         """n most probable terms, ties broken lexicographically."""
@@ -40,8 +39,7 @@ class FeedbackModel:
         return [term for term, _ in ordered[:n]]
 
 
-def feedback_language_model(docs: Sequence[Sequence[str]],
-                            doc_ids: Sequence[str] | None = None) -> FeedbackModel:
+def feedback_language_model(docs: Sequence[Sequence[str]]) -> FeedbackModel:
     """P(w | docs) by pooled counts, no smoothing. Probabilities sum to 1."""
     if not docs:
         raise DataError("feedback document set is empty")
@@ -51,9 +49,7 @@ def feedback_language_model(docs: Sequence[Sequence[str]],
     total = sum(counts.values())
     if total == 0:
         raise DataError("all feedback documents are empty")
-    probs = {term: count / total for term, count in counts.items()}
-    ids = list(doc_ids) if doc_ids is not None else [str(i) for i in range(len(docs))]
-    return FeedbackModel(term_probs=probs, source_doc_ids=ids)
+    return FeedbackModel({term: count / total for term, count in counts.items()})
 
 
 def expand_response(response: Sequence[str], index: InvertedIndex,
@@ -74,11 +70,10 @@ def expand_response(response: Sequence[str], index: InvertedIndex,
     response = list(response)
     if prf_terms == 0:
         return response
-    hits = search(index, response, prf_docs, k1=k1, b=b) if index.n_docs else []
+    hits = search(index, response, prf_docs, k1=k1, b=b)
     if not hits:
         return response
-    model = feedback_language_model([docs[doc_id] for doc_id, _ in hits],
-                                    [doc_id for doc_id, _ in hits])
+    model = feedback_language_model([docs[doc_id] for doc_id, _ in hits])
     return response + model.top_terms(prf_terms)
 
 
@@ -88,8 +83,6 @@ def retrieve_qa_pairs(response: Sequence[str], index: InvertedIndex,
     """Top QA pairs for a response query, via BM25 over the pair index."""
     if top_pairs < 1:
         raise ConfigError(f"top_pairs must be >= 1, got {top_pairs}")
-    if index.n_docs == 0:
-        return []
     hits = search(index, response, top_pairs, k1=k1, b=b)
     return _pairs_by_ids(pairs_by_id, [doc_id for doc_id, _ in hits])
 
@@ -102,100 +95,51 @@ def _pairs_by_ids(pairs_by_id: Mapping[str, object], ids: Sequence[str]) -> list
     return [pairs_by_id[pair_id] for pair_id in ids]
 
 
-@dataclass
-class PPMIStats:
-    """Co-occurrence counts over a retrieved QA pair set.
-
-    pair_counts maps (answer term, question term) to its co-occurrence
-    count; marginals count term occurrences pooled over all answers and all
-    questions. In "frequency" counting the joint total is sum over pairs of
-    |answer| * |question| and marginal totals are pooled token counts; in
-    "binary" counting every count is an indicator per pair and all totals
-    equal the number of pairs.
-    """
-
-    pair_counts: dict = field(default_factory=dict)
-    answer_marginals: dict = field(default_factory=dict)
-    question_marginals: dict = field(default_factory=dict)
-    joint_total: float = 0.0
-    answer_total: float = 0.0
-    question_total: float = 0.0
-
-
-def ppmi_stats(retrieved_pairs: Sequence, counting: str = "frequency") -> PPMIStats:
-    """Accumulate PPMIStats over retrieved QA pairs (bag-of-words per pair)."""
-    if counting not in ("frequency", "binary"):
-        raise ConfigError(f"counting must be 'frequency' or 'binary', got {counting!r}")
-    stats = PPMIStats()
-    for pair in retrieved_pairs:
-        if counting == "binary":
-            a_counts = Counter(set(pair.answer))
-            q_counts = Counter(set(pair.question))
-            stats.joint_total += 1.0
-            stats.answer_total += 1.0
-            stats.question_total += 1.0
-        else:
-            a_counts = Counter(pair.answer)
-            q_counts = Counter(pair.question)
-            stats.joint_total += float(len(pair.answer) * len(pair.question))
-            stats.answer_total += float(len(pair.answer))
-            stats.question_total += float(len(pair.question))
-        for term, count in a_counts.items():
-            stats.answer_marginals[term] = stats.answer_marginals.get(term, 0.0) + count
-        for term, count in q_counts.items():
-            stats.question_marginals[term] = stats.question_marginals.get(term, 0.0) + count
-        for a_term, a_count in a_counts.items():
-            for q_term, q_count in q_counts.items():
-                key = (a_term, q_term)
-                stats.pair_counts[key] = stats.pair_counts.get(key, 0.0) + a_count * q_count
-    return stats
-
-
 def ppmi_matrix(response_tokens: Sequence[str], utterance_tokens: Sequence[str],
-                retrieved_pairs: Sequence, counting: str = "frequency",
-                pad_token: str = PAD_TOKEN, unk_token: str = UNK_TOKEN) -> np.ndarray:
+                retrieved_pairs: Sequence, counting: str = "frequency") -> np.ndarray:
     """Positive PMI matrix between response and utterance token positions.
 
     Entry (i, j) is max(0, ln(p_joint / (p(w_r,i | answers) * p(w_u,j |
-    questions)))) with probabilities from ppmi_stats. Entries are 0 whenever
-    the joint count or a marginal is 0, whenever either token is PAD or UNK,
-    and everywhere when no pairs were retrieved. Output shape is
-    (len(response_tokens), len(utterance_tokens)).
-
-    The value of each distinct (response term, utterance term) pair is
-    computed once and spread over the positions by index lookup, so a long
-    utterance sequence (several turns end to end) costs one call.
+    questions)))) over the retrieved pairs, each a bag of words; it is 0 where
+    the joint count is 0, where either token is PAD or UNK, and everywhere when
+    no pairs were retrieved. Each pair is one row of an answer and a question
+    count matrix over the distinct response and utterance terms (column 0
+    takes all other terms), so the joint counts are answers.T @ questions.
+    "binary" counts a term once per pair, and every total is the pair count.
     """
-    rows = len(response_tokens)
-    cols = len(utterance_tokens)
-    if not retrieved_pairs:
-        return np.zeros((rows, cols), dtype=np.float64)
-    stats = ppmi_stats(retrieved_pairs, counting)
-    if stats.joint_total == 0 or stats.answer_total == 0 or stats.question_total == 0:
-        return np.zeros((rows, cols), dtype=np.float64)
-    skip = (pad_token, unk_token)
+    if counting not in ("frequency", "binary"):
+        raise ConfigError(f"counting must be 'frequency' or 'binary', got {counting!r}")
+    binary = counting == "binary"
 
-    def distinct(tokens, marginals):
-        """term -> value-grid index for terms that can score; 0 for the rest."""
-        live = [t for t in dict.fromkeys(tokens) if t not in skip and marginals.get(t, 0.0)]
+    def columns(tokens):
+        live = [t for t in dict.fromkeys(tokens) if t not in (PAD_TOKEN, UNK_TOKEN)]
         return {term: k for k, term in enumerate(live, start=1)}
 
-    r_terms = distinct(response_tokens, stats.answer_marginals)
-    u_terms = distinct(utterance_tokens, stats.question_marginals)
-    values = np.zeros((len(r_terms) + 1, len(u_terms) + 1), dtype=np.float64)
-    for r_tok, i in r_terms.items():
-        p_a = stats.answer_marginals[r_tok] / stats.answer_total
-        for u_tok, j in u_terms.items():
-            joint = stats.pair_counts.get((r_tok, u_tok), 0.0)
-            if joint == 0.0:
-                continue
-            p_joint = joint / stats.joint_total
-            p_q = stats.question_marginals[u_tok] / stats.question_total
-            value = math.log(p_joint / (p_a * p_q))
-            if value > 0.0:
-                values[i, j] = value
-    r_pos = np.array([r_terms.get(t, 0) for t in response_tokens], dtype=np.intp)
-    u_pos = np.array([u_terms.get(t, 0) for t in utterance_tokens], dtype=np.intp)
+    def counts(bags, cols):
+        grid = np.zeros((len(bags), len(cols) + 1), dtype=np.float64)
+        for row, bag in enumerate(bags):
+            for term in set(bag) if binary else bag:
+                grid[row, cols.get(term, 0)] += 1.0
+        return grid
+
+    r_cols, u_cols = columns(response_tokens), columns(utterance_tokens)
+    answers = counts([pair.answer for pair in retrieved_pairs], r_cols)
+    questions = counts([pair.question for pair in retrieved_pairs], u_cols)
+    if binary:
+        joint_total = answer_total = question_total = float(len(retrieved_pairs))
+    else:
+        a_len, q_len = answers.sum(axis=1), questions.sum(axis=1)
+        joint_total, answer_total, question_total = a_len @ q_len, a_len.sum(), q_len.sum()
+    answers[:, 0] = questions[:, 0] = 0.0
+    joint = answers.T @ questions
+    i, j = np.nonzero(joint)
+    p_a = answers.sum(axis=0)[i] / answer_total
+    p_q = questions.sum(axis=0)[j] / question_total
+    ratios = (joint[i, j] / joint_total) / (p_a * p_q)
+    values = np.zeros_like(joint)
+    values[i, j] = [max(math.log(r), 0.0) for r in ratios.tolist()]  # math.log, not SIMD np.log
+    r_pos = np.array([r_cols.get(t, 0) for t in response_tokens], dtype=np.intp)
+    u_pos = np.array([u_cols.get(t, 0) for t in utterance_tokens], dtype=np.intp)
     return values[r_pos[:, None], u_pos[None, :]]
 
 

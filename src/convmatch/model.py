@@ -10,16 +10,16 @@ are configurable for ablations.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import nn
 from .corpus import DialogExample, window_context
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ParseError
 from .knowledge import KnowledgeSource, ppmi_matrix
 from .nn import GRUParams, MLPParams, Tensor
-from .text import PAD_ID, EncodedText, Vocabulary, aligned_tokens, encode
+from .text import PAD_ID, Vocabulary, aligned_tokens, encode
 
 VARIANTS = ("dmn", "dmn-prf", "dmn-kd")
 CHANNELS = ("m1", "m2", "m3")
@@ -39,7 +39,6 @@ class ConvLayerConfig:
     kernel_shape: tuple = (3, 3)
     kernel_count: int = 8
     pool_shape: tuple = (3, 3)
-    in_channels: int = 2
     padding: int = 0
 
     def validate(self) -> None:
@@ -47,7 +46,7 @@ class ConvLayerConfig:
             value = getattr(self, name)
             if len(value) != 2 or not all(_is_int(v) and v >= 1 for v in value):
                 raise ConfigError(f"{name} must be two integers >= 1, got {value}")
-        for name, least in (("kernel_count", 1), ("in_channels", 1), ("padding", 0)):
+        for name, least in (("kernel_count", 1), ("padding", 0)):
             if not _is_int(getattr(self, name)) or getattr(self, name) < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, "
                                   f"got {getattr(self, name)!r}")
@@ -79,7 +78,6 @@ class ModelConfig:
 
     def __post_init__(self):
         self.channels = tuple(self.channels)
-        self.conv = replace(self.conv, in_channels=len(self.channels))
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
@@ -107,7 +105,6 @@ class ModelConfig:
 
     def to_json(self) -> str:
         payload = {**asdict(self), "version": _CONFIG_VERSION}
-        del payload["conv"]["in_channels"]  # follows channels
         payload["conv"].update(_CONV_JSON_CONSTANTS)
         return json.dumps(payload, sort_keys=True)
 
@@ -124,8 +121,7 @@ class ModelConfig:
                     raise ConfigError(f"model config has {key}={conv[key]!r}; only "
                                       f"{value!r} is supported")
             cfg = cls(**_json_fields(cls, data, "conv"),
-                      conv=ConvLayerConfig(**_json_fields(ConvLayerConfig, conv,
-                                                          "in_channels")))
+                      conv=ConvLayerConfig(**_json_fields(ConvLayerConfig, conv)))
             cfg.validate()
         except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"malformed model config: {exc!r}") from exc
@@ -250,16 +246,23 @@ class ModelParams:
 
 def load_word_embeddings(path, vocab: Vocabulary, dim: int,
                          seed: int = 0, scale: float = 0.1) -> np.ndarray:
-    """Read "token v1 .. vd" lines; tokens missing from the file stay random."""
+    """Read "token v1 .. vd" lines; tokens missing from the file stay random.
+
+    Lines with another field count (a word2vec header, say) are skipped; a
+    vocabulary token's d + 1 field line whose values are not numbers is a
+    ParseError.
+    """
     rng = np.random.default_rng([seed, 0])
     table = rng.uniform(-scale, scale, size=(len(vocab), dim))
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
+            if len(parts) != dim + 1 or parts[0] not in vocab:
                 continue
-            if parts[0] in vocab:
+            try:
                 table[vocab.token_to_id[parts[0]]] = [float(v) for v in parts[1:]]
+            except ValueError as exc:
+                raise ParseError(f"embedding of {parts[0]!r}: {exc}", line_no) from None
     return table
 
 
@@ -402,14 +405,8 @@ def prepare_example(example: DialogExample, vocab: Vocabulary, cfg: ModelConfig,
     pad_turns = cfg.c - len(context)
 
     utt_ids = np.full((cfg.c, cfg.l_u), PAD_ID, dtype=np.int64)
-    encoded_utts: list[EncodedText] = []
-    for slot in range(cfg.c):
-        if slot < pad_turns:
-            enc = EncodedText(ids=np.full(cfg.l_u, PAD_ID, dtype=np.int64), true_len=0)
-        else:
-            enc = encode(context[slot - pad_turns], vocab, cfg.l_u, cfg.truncate)
-        encoded_utts.append(enc)
-        utt_ids[slot] = enc.ids
+    for slot, utterance in enumerate(context, start=pad_turns):
+        utt_ids[slot] = encode(utterance, vocab, cfg.l_u, cfg.truncate).ids
 
     n_cand = len(example.candidates)
     cand_ids = np.empty((n_cand, cfg.l_r), dtype=np.int64)
@@ -418,7 +415,7 @@ def prepare_example(example: DialogExample, vocab: Vocabulary, cfg: ModelConfig,
     if "m3" in cfg.channels:
         m3 = np.zeros((n_cand, cfg.c, cfg.l_r, cfg.l_u), dtype=np.float64)
         # every turn slot end to end; PAD slots come out as zero grids
-        utt_tokens = [tok for enc in encoded_utts for tok in aligned_tokens(enc, vocab)]
+        utt_tokens = [vocab.id_to_token[i] for i in utt_ids.ravel().tolist()]
 
     for idx, (tokens, label) in enumerate(example.candidates):
         labels[idx] = label

@@ -11,6 +11,7 @@ any of them against central finite differences.
 
 from __future__ import annotations
 
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
@@ -795,13 +796,20 @@ def save_parameters(named_params: dict, path, extra_meta: dict | None = None) ->
 
 
 def load_parameters(path) -> tuple[dict, dict]:
-    """Inverse of save_parameters: returns (name -> array, meta name -> value)."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["__checkpoint_version__"])
-        if version != _CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {version}")
-        params = {key[len("param/"):]: data[key] for key in data.files
-                  if key.startswith("param/")}
-        meta = {key[len("meta/"):]: data[key][()] for key in data.files
-                if key.startswith("meta/")}
+    """Inverse of save_parameters: returns (name -> array, meta name -> value).
+
+    A file that is not a complete, versioned checkpoint archive is a
+    ConfigError naming the path.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            version = int(data["__checkpoint_version__"])
+            params = {key[len("param/"):]: data[key] for key in data.files
+                      if key.startswith("param/")}
+            meta = {key[len("meta/"):]: data[key][()] for key in data.files
+                    if key.startswith("meta/")}
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path} is not a readable checkpoint: {exc}") from exc
+    if version != _CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {version}")
     return params, meta

@@ -76,14 +76,13 @@ class Vocabulary:
     broken lexicographically, so fitting is order-independent.
     """
 
-    def __init__(self, tokens_by_id: Sequence[str], min_count: int | None = None):
+    def __init__(self, tokens_by_id: Sequence[str]):
         if list(tokens_by_id[:2]) != [PAD_TOKEN, UNK_TOKEN]:
             raise ConfigError("vocabulary must start with the PAD and UNK tokens")
         self.id_to_token: list[str] = list(tokens_by_id)
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise ConfigError("duplicate token in vocabulary")
-        self.min_count = min_count
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -111,7 +110,7 @@ def build_vocab(token_streams: Iterable[Sequence[str]], min_count: int) -> Vocab
         counts.update(t for t in stream if t not in _RESERVED)
     kept = [t for t, c in counts.items() if c >= min_count]
     kept.sort(key=lambda t: (-counts[t], t))
-    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept, min_count)
+    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept)
 
 
 @dataclass
@@ -162,7 +161,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    """Inverse of save_vocab. min_count is fitting metadata and is not stored."""
+    """Inverse of save_vocab."""
     tokens: list[str] = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(_lines(fh), start=1):
@@ -170,10 +169,15 @@ def load_vocab(path) -> Vocabulary:
             if len(parts) != 2:
                 raise ParseError(f"expected token<TAB>id, got {line!r}", line_no)
             token, idx = parts
-            if int(idx) != len(tokens):
+            try:
+                position = int(idx)
+            except ValueError:
+                raise ParseError(f"id {idx!r} of token {token!r} is not an integer",
+                                 line_no) from None
+            if position != len(tokens):
                 raise ParseError(f"non-contiguous id {idx} for token {token!r}", line_no)
             tokens.append(token)
-    return Vocabulary(tokens, min_count=None)
+    return Vocabulary(tokens)
 
 
 def provenance(tokenizer: Tokenizer, vocab: Vocabulary) -> dict:

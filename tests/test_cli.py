@@ -1,5 +1,6 @@
 """End-to-end command-line tests over small generated files."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -227,6 +228,32 @@ class TestCmdExpand:
             appended = fields[3].split() if fields[3] else []
             assert len(appended) <= 2
 
+    def _expand(self, workspace, *extra):
+        tmp_path, paths = workspace
+        index_path = tmp_path / "qa.index"
+        if not index_path.exists():
+            assert main(["index", "--qa-file", str(paths["qa"]),
+                         "--index-file", str(index_path)]) == 0
+        out = tmp_path / "expanded.tsv"
+        assert main(["expand", "--test-file", str(paths["test"]),
+                     "--qa-file", str(paths["qa"]), "--index-file", str(index_path),
+                     "--output", str(out), "--prf-terms", "3", "--prf-docs", "2",
+                     "--c", "2", *extra]) == 0
+        return out.read_bytes()
+
+    def test_output_digest_pinned(self, workspace):
+        digest = hashlib.sha1(self._expand(workspace)).hexdigest()
+        assert digest == "f43ed02dbce7b7b6f45e7df63854044b4da3377e"
+
+    def test_cache_dir_reused(self, workspace):
+        cache_dir = workspace[0] / "cache"
+        first = self._expand(workspace, "--cache-dir", str(cache_dir))
+        cached = (cache_dir / "expansions.tsv").read_text(encoding="utf-8")
+        assert cached.startswith("exp:")
+        assert self._expand(workspace, "--cache-dir", str(cache_dir)) == first
+        assert self._expand(workspace) == first
+        assert (cache_dir / "expansions.tsv").read_text(encoding="utf-8") == cached
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
@@ -249,6 +276,51 @@ class TestExitCodes:
         ranking.write_text("g1\t0.9\t1\ng1\tnan\t0\n", encoding="utf-8")
         assert main(["eval", "--ranking-file", str(ranking)]) == 2
         assert "line 2: NaN score" in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    """Malformed vocabulary, checkpoint and embedding files end in their exit
+    code with the file and line named, never a traceback."""
+
+    def test_non_integer_vocab_id_is_two(self, workspace, capsys):
+        tmp_path, paths = workspace
+        vocab_path = tmp_path / "vocab.tsv"
+        vocab_path.write_text("<PAD>\t0\n<UNK>\t1\nx\tnotanint\n", encoding="utf-8")
+        flags = _model_flags(tmp_path, paths, extra=("--vocab-file", str(vocab_path)))
+        assert main(["train", *flags]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["not npz", "truncated", "no version"])
+    def test_unreadable_checkpoint_is_one(self, workspace, capsys, damage):
+        tmp_path, paths = workspace
+        assert main(["train", *_model_flags(tmp_path, paths, extra=("--epochs", "0"))]) == 0
+        ckpt = tmp_path / "model.ckpt"
+        if damage == "not npz":
+            ckpt.write_text("not a checkpoint\n", encoding="utf-8")
+        elif damage == "truncated":
+            ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        else:
+            arrays, _ = nn.load_parameters(ckpt)
+            with open(ckpt, "wb") as fh:
+                np.savez(fh, **{f"param/{name}": a for name, a in arrays.items()})
+        flags = ["--test-file", str(paths["test"]), "--checkpoint", str(ckpt)]
+        capsys.readouterr()
+        assert main(["rank", *flags, "--output", str(tmp_path / "ranking.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(ckpt) in err
+        assert main(["eval", *flags]) == 1
+
+    def test_non_numeric_embedding_is_two(self, workspace, capsys):
+        tmp_path, paths = workspace
+        assert main(["train", *_model_flags(tmp_path, paths, extra=("--epochs", "0"))]) == 0
+        token = load_vocab(tmp_path / "model.ckpt.vocab.tsv").id_to_token[2]
+        emb_path = tmp_path / "embeddings.txt"
+        # a word2vec header (other field count) is skipped; line 2 is not numbers
+        emb_path.write_text(f"3 4\n{token} 0.1 x 0.3 0.4\n", encoding="utf-8")
+        flags = _model_flags(tmp_path, paths, extra=("--embeddings-file", str(emb_path)))
+        capsys.readouterr()
+        assert main(["train", *flags]) == 2
+        assert "line 2" in capsys.readouterr().err
 
 
 class TestKnowledgeCaches:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from convmatch import nn
+from convmatch.corpus import DialogExample, save_dataset
 from convmatch.fileio import atomic_write
 from convmatch.knowledge import TsvCache
 from convmatch.retrieval import index_documents, save_index
@@ -34,10 +35,16 @@ def _vocab(path, token):
     save_vocab(SimpleNamespace(id_to_token=[PAD_TOKEN, UNK_TOKEN, "x", token]), path)
 
 
+def _dataset(path, token):
+    save_dataset([DialogExample("d0", [["hi"]], [(["a"], 1)]),
+                  DialogExample("d1", [["yo"]], [(["b"], 1), ([token], 0)])], path)
+
+
 WRITERS = {
     "tsv_cache": (lambda p: _cache(p, ["z"]), lambda p: _cache(p, [Unwritable()])),
     "index": (lambda p: _index(p, "d2"), lambda p: _index(p, Unwritable())),
     "vocab": (lambda p: _vocab(p, "y"), lambda p: _vocab(p, Unwritable())),
+    "dataset": (lambda p: _dataset(p, "c"), lambda p: _dataset(p, Unwritable())),
 }
 
 

@@ -1,5 +1,6 @@
 """Feedback expansion and correspondence-matrix tests."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -131,6 +132,46 @@ class TestPpmiMatrix:
         with pytest.raises(ConfigError):
             ppmi_matrix(["a"], ["b"], [QAPair(id="1", question=["b"], answer=["a"])],
                         counting="fancy")
+        with pytest.raises(ConfigError):  # validated before the empty-retrieval case
+            ppmi_matrix(["a"], ["b"], [], counting="fancy")
+
+    @staticmethod
+    def _digest_case(case):
+        """Seeded (response, utterance, pairs) inputs for the pinned digests."""
+        rng = np.random.default_rng(31)
+        if case == "mixed":
+            pairs = random_qa_pairs(rng, 15, vocab_size=20, max_len=8)
+            pairs += [QAPair(id="rep", question=["w2", "w2", "w5", "w2"],
+                             answer=["w1", "w1", "w3", "w1"]),
+                      QAPair(id="none", question=["w2", "w4"], answer=["zz", "yy", "zz"])]
+            resp = ["w1", PAD_TOKEN, "w3", UNK_TOKEN, "w1", "oov", "w7", "w1",
+                    "w12", PAD_TOKEN]
+            utt = ["w2", "w5", UNK_TOKEN, "w2", "oov", "w4", "w9", PAD_TOKEN, PAD_TOKEN]
+            return resp, utt, pairs
+        # the rank grid: a 50-token response against ten 50-token turns end to end
+        pairs = random_qa_pairs(rng, 10, vocab_size=120, max_len=40)
+        words = [f"w{i}" for i in range(130)] + [UNK_TOKEN]  # w120.. are out of the pairs
+
+        def padded(length):
+            tokens = [words[int(i)] for i in rng.integers(0, len(words), length)]
+            return tokens + [PAD_TOKEN] * (50 - length)
+
+        resp = padded(37)
+        utt = [tok for length in (0, 0, 12, 50, 3, 44, 20, 50, 7, 31) for tok in padded(length)]
+        return resp, utt, pairs
+
+    @pytest.mark.parametrize("case, counting, digest", [
+        ("mixed", "frequency", "4cd0a8d3d62759679882eaea0dad0dc0304cdf3d"),
+        ("mixed", "binary", "eee3920738b17bf095eb679348124c7e412d861c"),
+        ("grid", "frequency", "81d27e9627d395c2853c1c52c78aa73259eb50a9"),
+        ("grid", "binary", "bfbf4c2bae71f5e2c90536425ef1d0dd4e1be98c"),
+    ])
+    def test_output_digest_pinned(self, case, counting, digest):
+        resp, utt, pairs = self._digest_case(case)
+        matrix = ppmi_matrix(resp, utt, pairs, counting=counting)
+        assert matrix.shape == (len(resp), len(utt)) and matrix.dtype == np.float64
+        assert np.count_nonzero(matrix) > 0
+        assert hashlib.sha1(matrix.tobytes()).hexdigest() == digest
 
 
 class TestRetrieveQaPairs:

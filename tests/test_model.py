@@ -76,10 +76,6 @@ class TestModelConfig:
                           interaction="cosine")
         assert ModelConfig.from_json(cfg.to_json()) == cfg
 
-    def test_conv_in_channels_follows_channels(self):
-        assert tiny_config(channels=("m1",)).conv.in_channels == 1
-        assert tiny_config().conv.in_channels == 2
-
 
 def _digest(params):
     h = hashlib.sha1()
