@@ -8,6 +8,7 @@ codes: 0 success, 1 usage or config error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import corpus, knowledge, metrics, model, retrieval, text, training
 from .errors import ConfigError, DataError, NumericError
+from .fileio import write_rows
 
 
 def _parse_bool(raw: str) -> bool:
@@ -35,8 +37,7 @@ def _parse_pair(raw: str) -> tuple:
 
 
 def _parse_channels(raw: str) -> tuple:
-    parts = [p.strip().lower() for p in raw.split(",") if p.strip()]
-    return tuple(parts)
+    return tuple(p.strip().lower() for p in raw.split(",") if p.strip())
 
 
 @dataclass
@@ -149,16 +150,13 @@ class RunConfig:
                 raise ConfigError(f"missing required setting {name!r}")
 
 
-_PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "tuple": _parse_pair}
 
 
 def _field_parser(cfg_field):
     if cfg_field.name == "channels":
         return _parse_channels
-    if cfg_field.type in ("tuple", tuple):
-        return _parse_pair
-    return _PARSERS[{"bool": bool, "int": int, "float": float, "str": str}
-                    .get(cfg_field.type, str)]
+    return _PARSERS.get(cfg_field.type, str)
 
 
 def load_config_file(path) -> dict:
@@ -216,13 +214,24 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+def _index_provenance(cfg: RunConfig, tokenizer: text.Tokenizer) -> dict:
+    """What an index records: the tokenizer, and qa_file's SHA-1 when set."""
+    entries = text.provenance(tokenizer)
+    if cfg.qa_file:
+        cfg.require_files("qa_file")
+        with open(cfg.qa_file, "rb") as fh:
+            entries["qa_sha1"] = hashlib.sha1(fh.read()).hexdigest()
+    return entries
+
+
 def cmd_index(cfg: RunConfig) -> None:
-    """Build and serialize the external QA index."""
+    """Build and serialize the external QA index, with the pairs' text."""
     cfg.require_files("qa_file")
     cfg.require_outputs("index_file")
-    pairs, dropped = corpus.load_qa_pairs(cfg.qa_file, cfg.tokenizer())
+    tokenizer = cfg.tokenizer()
+    pairs, dropped = corpus.load_qa_pairs(cfg.qa_file, tokenizer)
     index = retrieval.build_index(pairs, cfg.index_field)
-    retrieval.save_index(index, cfg.index_file)
+    retrieval.save_index(index, cfg.index_file, _index_provenance(cfg, tokenizer))
     print(f"indexed {index.n_docs} documents (field={cfg.index_field}, "
           f"avg length {index.avg_doc_len:.2f}, dropped {dropped} empty pairs)")
 
@@ -258,13 +267,12 @@ def cmd_build_data(cfg: RunConfig) -> None:
 
 
 def _load_knowledge(cfg: RunConfig, tokenizer: text.Tokenizer) -> knowledge.KnowledgeSource:
-    """The QA collection, its index and the retrieval settings, with caches
-    under cache_dir when that is set."""
-    cfg.require_files("qa_file", "index_file")
-    pairs, _ = corpus.load_qa_pairs(cfg.qa_file, tokenizer)
-    index = retrieval.load_index(cfg.index_file)
-    docs = retrieval.doc_store(pairs, index.field_name)
-    pairs_by_id = {pair.id: pair for pair in pairs}
+    """The index with the QA pairs it stores, and the retrieval settings, with
+    caches under cache_dir when that is set. An optional qa_file is hashed
+    against the index, never parsed."""
+    cfg.require_files("index_file")
+    index = retrieval.load_index(cfg.index_file, _index_provenance(cfg, tokenizer))
+    docs, pairs_by_id = retrieval.stored_collection(index)
     expansion_cache = pairs_cache = None
     if cfg.cache_dir:
         os.makedirs(cfg.cache_dir, exist_ok=True)
@@ -287,10 +295,9 @@ def cmd_train(cfg: RunConfig) -> None:
     train_set = corpus.load_dataset(cfg.train_file, tokenizer, max_context_turns=cfg.c)
     valid_set = corpus.load_dataset(cfg.valid_file, tokenizer, max_context_turns=cfg.c)
 
-    vocab = None
     if cfg.vocab_file and os.path.exists(cfg.vocab_file):
         vocab = text.load_vocab(cfg.vocab_file)
-    if vocab is None:
+    else:
         streams = []
         for example in train_set:
             streams.extend(example.context)
@@ -351,9 +358,7 @@ def cmd_rank(cfg: RunConfig) -> None:
     """Write dialog_id<TAB>candidate_index<TAB>score<TAB>rank for the test set."""
     cfg.require_outputs("output")
     rows, _ = _rank_dataset(cfg)
-    with open(cfg.output, "w", encoding="utf-8") as fh:
-        for dialog_id, cand_idx, cand_score, position in rows:
-            fh.write(f"{dialog_id}\t{cand_idx}\t{cand_score!r}\t{position}\n")
+    write_rows(cfg.output, rows)
     print(f"wrote {len(rows)} ranking rows to {cfg.output}")
 
 
@@ -380,21 +385,17 @@ def cmd_eval(cfg: RunConfig) -> None:
 
 def cmd_expand(cfg: RunConfig) -> None:
     """Inspect feedback expansion: appended terms per candidate response."""
-    cfg.require_files("test_file", "qa_file", "index_file")
+    cfg.require_files("test_file", "index_file")
     cfg.require_outputs("output")
     tokenizer = cfg.tokenizer()
     dataset = corpus.load_dataset(cfg.test_file, tokenizer, max_context_turns=cfg.c)
     source = _load_knowledge(cfg, tokenizer)
-    count = 0
-    with open(cfg.output, "w", encoding="utf-8") as fh:
-        for example in dataset:
-            for cand_idx, (tokens, _) in enumerate(example.candidates):
-                appended = source.expand(tokens)[len(tokens):]
-                fh.write(f"{example.dialog_id}\t{cand_idx}\t{' '.join(tokens)}\t"
-                         f"{' '.join(appended)}\n")
-                count += 1
+    rows = [(example.dialog_id, cand_idx, " ".join(tokens),
+             " ".join(source.expand(tokens)[len(tokens):]))
+            for example in dataset for cand_idx, (tokens, _) in enumerate(example.candidates)]
+    write_rows(cfg.output, rows)
     source.save_caches()
-    print(f"wrote {count} expansion rows to {cfg.output}")
+    print(f"wrote {len(rows)} expansion rows to {cfg.output}")
 
 
 _COMMANDS = {
@@ -423,18 +424,11 @@ def main(argv: list | None = None) -> int:
         cfg = build_run_config(args)
         _COMMANDS[args.command](cfg)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+    except (ConfigError, DataError, NumericError, OSError) as exc:  # OSError: data error
+        kind, code = (("config", 1) if isinstance(exc, ConfigError) else
+                      ("numeric", 3) if isinstance(exc, NumericError) else ("data", 2))
+        print(f"{kind} error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

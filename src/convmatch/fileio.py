@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from typing import Iterable, Sequence
 
 
 @contextmanager
@@ -24,3 +25,10 @@ def atomic_write(path, binary: bool = False):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_rows(path, rows: Iterable[Sequence]) -> None:
+    """Write each row as one line of tab-separated fields, atomically."""
+    with atomic_write(path) as fh:
+        for row in rows:
+            fh.write("\t".join(f"{field}" for field in row) + "\n")

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fileio import atomic_write
+from .fileio import write_rows
 from .retrieval import DEFAULT_B, DEFAULT_K1, InvertedIndex, search
 from .text import PAD_TOKEN, UNK_TOKEN
 
@@ -171,11 +171,8 @@ class TsvCache:
         self.entries[key] = list(items)
 
     def save(self) -> None:
-        if self.path is None:
-            return
-        with atomic_write(self.path) as fh:
-            for key in sorted(self.entries):
-                fh.write("\t".join([key] + list(self.entries[key])) + "\n")
+        if self.path is not None:
+            write_rows(self.path, ([key, *self.entries[key]] for key in sorted(self.entries)))
 
 
 class KnowledgeSource:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DataError, ParseError
+from .fileio import write_rows
 
 RECALL_CUTOFFS = (1, 2, 5)
 
@@ -168,6 +169,4 @@ def read_ranking_file(path) -> list[RankedLabels]:
 
 def write_report(report: MetricsReport, path) -> None:
     """Machine-readable report: one header line and one TSV row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.tsv_header() + "\n")
-        fh.write(report.tsv_row() + "\n")
+    write_rows(path, [[report.tsv_header()], [report.tsv_row()]])

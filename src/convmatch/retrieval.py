@@ -3,51 +3,50 @@
 Also hosts the two lexical baseline rankers for candidate responses: plain
 BM25 and BM25 over feedback-expanded responses.
 
-The index keeps postings only. Operations that need the document text
-(negative sampling, feedback expansion, QA pair retrieval) take an explicit
-id -> tokens mapping built from the same source, see doc_store().
+Operations that need the document text (negative sampling, feedback
+expansion, QA pair retrieval) take an explicit id -> tokens mapping. An
+index built from QA pairs keeps their text, and stored_collection serves it
+from there; doc_store builds the same mapping from the pairs themselves.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import zipfile
 from collections.abc import Mapping
-from itertools import compress, count, repeat
-from operator import lt, ne
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError
 from .fileio import atomic_write
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
-_INDEX_MAGIC = "convmatch.index"
-_INDEX_VERSION = "1"
-# Index file lines formatted or parsed at a time: bounds the transient
-# strings (a P line is about 16 characters).
-_BLOCK_LINES = 1 << 13
+_INDEX_FORMAT = "convmatch.index"
+_INDEX_VERSION = 2
+_V1_MAGIC = b"convmatch.index\t"  # first bytes of a version 1 text index
+_CSR_ARRAYS = ("doc_lengths", "indptr", "post_docs", "post_tfs")
 
 
-class Postings(Mapping):
-    """term -> document indices of its postings, in document order; the
-    length of postings[term] is the term's document frequency."""
+class _LazyMap(Mapping):
+    """key -> decode(key, rows[key]), decoded on each lookup, keys in rows' order."""
 
-    def __init__(self, index: "InvertedIndex"):
-        self._index = index
+    def __init__(self, rows: dict, decode):
+        self.rows, self.decode = rows, decode
 
-    def __getitem__(self, term: str) -> np.ndarray:
-        row = self._index.term_rows[term]
-        return self._index.post_docs[self._index.indptr[row]:self._index.indptr[row + 1]]
+    def __getitem__(self, key):
+        return self.decode(key, self.rows[key])
 
     def __iter__(self):
-        return iter(self._index.terms)
+        return iter(self.rows)
 
     def __len__(self) -> int:
-        return len(self._index.terms)
+        return len(self.rows)
 
 
 class InvertedIndex:
@@ -58,13 +57,20 @@ class InvertedIndex:
     postings of terms[r] in document order: document indices
     post_docs[indptr[r]:indptr[r + 1]] with term frequencies post_tfs[...].
     The layout depends only on the documents, so an index built in memory
-    and one loaded from its file are identical.
+    and one loaded from its file are identical. doc_rows maps each doc id to
+    its position, and provenance holds what save_index recorded.
+
+    build_index also keeps the QA pairs as pair_text = (terms, ids, offsets):
+    token list 2i is the question of document i and 2i + 1 its answer, list
+    k being terms[ids[offsets[k]:offsets[k + 1]]], terms sorted, ids int32.
     """
 
     def __init__(self, doc_ids: list, doc_lengths: np.ndarray, terms: list,
                  indptr: np.ndarray, post_docs: np.ndarray, post_tfs: np.ndarray,
-                 field_name: str = "answer"):
+                 field_name: str = "answer", pair_text: tuple | None = None,
+                 provenance: dict | None = None):
         self.doc_ids = doc_ids
+        self.doc_rows = {doc_id: row for row, doc_id in enumerate(doc_ids)}
         self.doc_lengths = doc_lengths
         self.terms = terms
         self.term_rows = {term: row for row, term in enumerate(terms)}
@@ -72,16 +78,20 @@ class InvertedIndex:
         self.post_docs = post_docs
         self.post_tfs = post_tfs
         self.field_name = field_name
-        total = int(doc_lengths.sum())
-        self.avg_doc_len = total / len(doc_ids) if doc_ids else 0.0
+        self.pair_text = pair_text
+        self.provenance = provenance or {}
+        self.avg_doc_len = int(doc_lengths.sum()) / len(doc_ids) if doc_ids else 0.0
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
     @property
-    def postings(self) -> Postings:
-        return Postings(self)
+    def postings(self) -> Mapping:
+        """term -> document indices of its postings, in document order; the
+        length of postings[term] is the term's document frequency."""
+        return _LazyMap(self.term_rows,
+                        lambda _, row: self.post_docs[self.indptr[row]:self.indptr[row + 1]])
 
     def content_digest(self) -> str:
         """Hex digest of the field, the documents and every posting."""
@@ -94,61 +104,80 @@ class InvertedIndex:
         return digest.hexdigest()
 
 
+def _field_parts(field_name: str) -> tuple[bool, bool]:
+    """Whether an index field holds a QA pair's question, and its answer."""
+    parts = {"question": (True, False), "answer": (False, True),
+             "concatenated": (True, True)}.get(field_name)
+    if parts is None:
+        raise ConfigError(f"unknown index field {field_name!r}")
+    return parts
+
+
 def field_tokens(pair, field_name: str) -> list[str]:
     """Tokens of one QA pair field: question, answer or concatenated."""
-    if field_name == "question":
-        return list(pair.question)
-    if field_name == "answer":
-        return list(pair.answer)
-    if field_name == "concatenated":
-        return list(pair.question) + list(pair.answer)
-    raise ConfigError(f"unknown index field {field_name!r}")
+    question, answer = _field_parts(field_name)
+    return (list(pair.question) if question else []) + (list(pair.answer) if answer else [])
 
 
 def build_index(pairs: Iterable, field_name: str = "answer") -> InvertedIndex:
-    """Index a stream of QA pairs on the chosen field; doc ids are the pair ids."""
-    return index_documents(((pair.id, field_tokens(pair, field_name)) for pair in pairs),
-                           field_name)
+    """Index a stream of QA pairs on the chosen field; doc ids are the pair
+    ids. The index keeps every pair's question and answer too (pair_text),
+    and its terms are the text terms that the field holds."""
+    parts = np.array(_field_parts(field_name))
+    pairs = list(pairs)
+    lists = [tokens for pair in pairs for tokens in (pair.question, pair.answer)]
+    terms, ids = _term_ids(list(chain.from_iterable(lists)))
+    lengths = np.array([len(tokens) for tokens in lists], dtype=np.int64)
+    field_ids = ids[np.repeat(np.tile(parts, len(pairs)), lengths)]
+    used = np.bincount(field_ids, minlength=len(terms)) > 0
+    # the field's terms are the used text terms; a term's row counts those before it
+    index = _csr([pair.id for pair in pairs], lengths.reshape(-1, 2) @ parts,
+                 list(compress(terms, used)), (np.cumsum(used) - 1)[field_ids], field_name)
+    index.pair_text = (terms, ids.astype(np.int32), np.concatenate(([0], np.cumsum(lengths))))
+    return index
+
+
+def _term_ids(tokens: list) -> tuple[list, np.ndarray]:
+    """Sorted distinct terms, and the row of each token among them."""
+    terms = sorted(set(tokens))
+    rows = {term: row for row, term in enumerate(terms)}
+    return terms, np.fromiter(map(rows.__getitem__, tokens), dtype=np.int64, count=len(tokens))
 
 
 def index_documents(docs: Iterable[tuple[str, Sequence[str]]],
                     field_name: str = "document") -> InvertedIndex:
     """Index pre-tokenized (doc_id, tokens) records, e.g. a response pool."""
-    doc_ids: list = []
-    lengths: list = []
-    seen: set = set()
-    tokens_flat: list = []
+    doc_ids, lengths, tokens_flat = [], [], []
     for doc_id, tokens in docs:
-        if doc_id in seen:
-            raise DataError(f"duplicate document id {doc_id!r}")
-        seen.add(doc_id)
         doc_ids.append(doc_id)
         lengths.append(len(tokens))
         tokens_flat.extend(tokens)
-    terms = sorted(set(tokens_flat))
-    term_rows = {term: row for row, term in enumerate(terms)}
+    terms, rows = _term_ids(tokens_flat)
+    return _csr(doc_ids, np.array(lengths, dtype=np.int64), terms, rows, field_name)
+
+
+def _csr(doc_ids: list, lengths: np.ndarray, terms: list, rows: np.ndarray,
+         field_name: str) -> InvertedIndex:
+    """The index of documents whose tokens, in order, are terms[rows]."""
     # One key per token, row-major over (term, document): the sorted distinct
     # keys are the postings in CSR order, and their counts the term frequencies.
     stride = max(len(doc_ids), 1)
-    keys = (np.fromiter(map(term_rows.__getitem__, tokens_flat), dtype=np.int64,
-                        count=len(tokens_flat)) * stride
-            + np.repeat(np.arange(len(doc_ids), dtype=np.int64), lengths))
+    keys = rows * stride + np.repeat(np.arange(len(doc_ids), dtype=np.int64), lengths)
     keys, post_tfs = np.unique(keys, return_counts=True)
     indptr = np.zeros(len(terms) + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // stride, minlength=len(terms)), out=indptr[1:])
-    return InvertedIndex(doc_ids=doc_ids, doc_lengths=np.array(lengths, dtype=np.int64),
-                         terms=terms, indptr=indptr, post_docs=keys % stride,
-                         post_tfs=post_tfs.astype(np.int64, copy=False), field_name=field_name)
+    index = InvertedIndex(doc_ids=doc_ids, doc_lengths=lengths, terms=terms, indptr=indptr,
+                          post_docs=keys % stride,
+                          post_tfs=post_tfs.astype(np.int64, copy=False), field_name=field_name)
+    repeated = [doc_id for row, doc_id in enumerate(doc_ids) if index.doc_rows[doc_id] != row]
+    if repeated:
+        raise DataError(f"duplicate document id {repeated[0]!r}")
+    return index
 
 
 def doc_store(pairs: Iterable, field_name: str = "answer") -> dict:
     """id -> indexed-field tokens mapping matching build_index(pairs, field_name)."""
-    store: dict = {}
-    for pair in pairs:
-        if pair.id in store:
-            raise DataError(f"duplicate document id {pair.id!r}")
-        store[pair.id] = field_tokens(pair, field_name)
-    return store
+    return dict(stored_collection(build_index(pairs, field_name))[0])
 
 
 def idf(index: InvertedIndex, term: str) -> float:
@@ -191,11 +220,9 @@ def _bm25(index: InvertedIndex, query: Sequence[str], k1: float,
 def bm25_score(index: InvertedIndex, query: Sequence[str], doc_id: str,
                k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> float:
     """BM25 score of one document for a query; 0.0 when they share no term."""
-    try:
-        position = index.doc_ids.index(doc_id)
-    except ValueError:
-        raise DataError(f"unknown document id {doc_id!r}") from None
-    return float(_bm25(index, query, k1, b)[0][position])
+    if doc_id not in index.doc_rows:
+        raise DataError(f"unknown document id {doc_id!r}")
+    return float(_bm25(index, query, k1, b)[0][index.doc_rows[doc_id]])
 
 
 def search(index: InvertedIndex, query: Sequence[str], k: int,
@@ -207,8 +234,6 @@ def search(index: InvertedIndex, query: Sequence[str], k: int,
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if index.n_docs == 0:
-        return []
     scores, matched = _bm25(index, query, k1, b)
     matched_scores = scores[matched]
     if len(matched) > k:
@@ -256,122 +281,87 @@ def bm25_rank_responses(example, expanded: bool = False,
     return sorted(enumerate(scores), key=lambda item: (-item[1], item[0]))
 
 
-def save_index(index: InvertedIndex, path) -> None:
-    """Serialize to a versioned text file that round-trips exactly.
+def stored_collection(index: InvertedIndex) -> tuple[Mapping, Mapping]:
+    """(docs, pairs_by_id) decoded on lookup from the pair text build_index
+    keeps: lazy doc_store(pairs, index.field_name) and {pair.id: pair}."""
+    from .corpus import QAPair  # local import to avoid a cycle
 
-    Layout: one header, one D line per document (insertion order), one
-    P line per posting (terms sorted, postings in document order).
-    """
-    doc_ids = index.doc_ids
-    rows = np.repeat(np.arange(len(index.terms)), np.diff(index.indptr))
-    tf_text = [str(tf) for tf in range(int(index.post_tfs.max(initial=0)) + 1)]
-    with atomic_write(path) as fh:
-        fh.write(f"{_INDEX_MAGIC}\t{_INDEX_VERSION}\t{index.field_name}\n")
-        fh.writelines(f"D\t{doc_id}\t{length}\n"
-                      for doc_id, length in zip(doc_ids, index.doc_lengths.tolist()))
-        for lo in range(0, len(rows), _BLOCK_LINES):
-            block = slice(lo, lo + _BLOCK_LINES)
-            fh.write("\n".join(map("\t".join, zip(
-                repeat("P"), map(index.terms.__getitem__, rows[block].tolist()),
-                map(doc_ids.__getitem__, index.post_docs[block].tolist()),
-                map(tf_text.__getitem__, index.post_tfs[block].tolist())))))
-            fh.write("\n")
+    if index.pair_text is None:
+        raise ConfigError("the index stores no QA pair text; rebuild it with convmatch index")
+    terms, ids, offsets = index.pair_text
+
+    def pair(doc_id: str, row: int):
+        q, a, end = offsets[2 * row:2 * row + 3].tolist()
+        return QAPair(id=doc_id, question=[terms[i] for i in ids[q:a].tolist()],
+                      answer=[terms[i] for i in ids[a:end].tolist()])
+
+    return (_LazyMap(index.doc_rows,
+                     lambda doc_id, row: field_tokens(pair(doc_id, row), index.field_name)),
+            _LazyMap(index.doc_rows, pair))
 
 
-def load_index(path) -> InvertedIndex:
-    """Inverse of save_index; rejects any record that save_index would not write."""
-    doc_ids: list = []
-    lengths: list = []
-    doc_pos: dict = {}
-    postings = _PostingColumns(doc_pos)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if len(header) != 3 or header[0] != _INDEX_MAGIC:
-            raise ParseError(f"not an index file: {path}", 1)
-        if header[1] != _INDEX_VERSION:
-            raise ParseError(f"unsupported index version {header[1]!r}", 1)
-        line_no = 2
-        for block in iter(lambda: fh.readlines(_BLOCK_LINES * 16), []):
-            head = 0
-            while not postings.lines and head < len(block) and block[head].startswith("D\t"):
-                parts = block[head].rstrip("\n").split("\t")
-                if len(parts) != 3 or parts[1] in doc_pos or not parts[2].isdecimal():
-                    raise ParseError(f"bad index record {block[head].rstrip()!r}",
-                                     line_no + head)
-                doc_pos[parts[1]] = len(doc_ids)
-                doc_ids.append(parts[1])
-                lengths.append(int(parts[2]))
-                head += 1
-            if head < len(block):
-                postings.add(block[head:], line_no + head)
-            line_no += len(block)
-    return InvertedIndex(doc_ids=doc_ids, doc_lengths=np.array(lengths, dtype=np.int64),
-                         terms=postings.terms,
-                         indptr=np.array(postings.starts + [postings.lines], dtype=np.int64),
-                         post_docs=np.concatenate(postings.docs or [np.empty(0, np.int64)]),
-                         post_tfs=np.concatenate(postings.tfs or [np.empty(0, np.int64)]),
-                         field_name=header[2])
+def save_index(index: InvertedIndex, path, provenance: dict | None = None) -> None:
+    """Write format v2: one npz archive of the CSR arrays, the pair text's
+    ids and offsets, and a JSON header of the format, version, field, doc ids,
+    terms, pair text terms and provenance entries (by default those the index
+    was loaded with). Identical input gives identical bytes."""
+    header = {"format": _INDEX_FORMAT, "version": _INDEX_VERSION, "field": index.field_name,
+              "doc_ids": index.doc_ids, "terms": index.terms,
+              **(index.provenance if provenance is None else provenance)}
+    arrays = {name: getattr(index, name) for name in _CSR_ARRAYS}
+    if index.pair_text is not None:
+        header["text_terms"], arrays["text_ids"], arrays["text_offsets"] = index.pair_text
+    with atomic_write(path, binary=True) as fh, zipfile.ZipFile(fh, "w") as archive:
+        arrays["header"] = np.frombuffer(json.dumps(header).encode("ascii"), dtype=np.uint8)
+        for name, array in arrays.items():  # np.savez would stamp members with the time
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as out:
+                np.lib.format.write_array(out, np.asarray(array), allow_pickle=False)
 
 
-class _PostingColumns:
-    """CSR columns of the P lines, parsed a block of lines at a time.
+def load_index(path, provenance: dict | None = None) -> InvertedIndex:
+    """Inverse of save_index. Each provenance entry must equal the header's,
+    where it has one: another QA file ("qa_sha1") is a DataError, any other
+    entry a ConfigError. A file that is not a complete format-v2 index, a
+    version 1 text index among them, is a ConfigError naming the path."""
+    with open(path, "rb") as fh:
+        head = fh.read(len(_V1_MAGIC))
+    try:
+        if not head.startswith(b"PK"):
+            raise ValueError("a version 1 text index; rebuild it with convmatch index"
+                             if head == _V1_MAGIC else "not an npz archive")
+        with np.load(path, allow_pickle=False) as data:
+            index = _from_arrays({name: data[name] for name in data.files})
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path} is not a readable index: {exc}") from None
+    for key, expected in (provenance or {}).items():
+        if index.provenance.get(key, expected) != expected:
+            error = DataError if key == "qa_sha1" else ConfigError
+            raise error(f"index {path} was built with {key} {index.provenance[key]!r}, "
+                        f"this run has {expected!r}")
+    return index
 
-    Within a block the lines are parsed column by column: once every line
-    has three tabs, fields[4j:4j + 4] are the four fields of line j.
-    Postings of one term are consecutive lines, so a row starts wherever the
-    term changes, and the terms must come in sorted order.
-    """
 
-    def __init__(self, doc_pos: dict):
-        self.doc_pos = doc_pos
-        self.terms: list = []    # one per row
-        self.starts: list = []   # first posting of each row
-        self.docs: list = []     # document-index array per block
-        self.tfs: list = []      # term-frequency array per block
-        self.lines = 0
-
-    def add(self, lines: list, first_line_no: int) -> None:
-        n = len(lines)
-        fields = "".join(lines).replace("\n", "\t").split("\t")[:4 * n]
-        terms = fields[1::4]
-        last = self.terms[-1] if self.terms else None
-        starts = list(compress(count(1), map(ne, terms[1:], terms[:-1])))
-        heads = [terms[0]] + [terms[j] for j in starts]
-        tf_fields = fields[3::4]
-        try:
-            if (list(map(str.count, lines, repeat("\t"))).count(3) != n
-                    or fields[0::4].count("P") != n
-                    or not all(map(lt, heads[:-1], heads[1:]))
-                    or (last is not None and heads[0] < last)
-                    or not all(map(str.isdecimal, tf_fields))):
-                raise ValueError("malformed posting lines")
-            docs = np.fromiter(map(self.doc_pos.__getitem__, fields[2::4]), dtype=np.int64,
-                               count=n)
-            tfs = np.array(tf_fields, dtype=np.int64)
-            if tfs.min() < 1:
-                raise ValueError("term frequency below 1")
-        except (KeyError, ValueError):
-            first_bad = self._first_bad(lines, last)
-            raise ParseError(f"bad index record {lines[first_bad].rstrip()!r}",
-                             first_line_no + first_bad) from None
-        if heads[0] == last:  # the block goes on with the previous block's last term
-            heads = heads[1:]
-        else:
-            starts.insert(0, 0)
-        self.terms.extend(heads)
-        self.starts.extend(self.lines + j for j in starts)
-        self.docs.append(docs)
-        self.tfs.append(tfs)
-        self.lines += n
-
-    def _first_bad(self, lines: list, previous: str | None) -> int:
-        """Index of the first line that is malformed, names an unknown
-        document, or breaks the sorted order of terms."""
-        for j, line in enumerate(lines):
-            parts = line.rstrip("\n").split("\t")
-            if (len(parts) != 4 or parts[0] != "P" or parts[2] not in self.doc_pos
-                    or not parts[3].isdecimal() or int(parts[3]) < 1
-                    or (previous is not None and parts[1] < previous)):
-                return j
-            previous = parts[1]
-        raise AssertionError("no malformed posting line")
+def _from_arrays(arrays: dict) -> InvertedIndex:
+    """The index in save_index's arrays; ValueError where they do not fit together."""
+    header = json.loads(arrays.pop("header").tobytes())
+    if header.pop("format", None) != _INDEX_FORMAT or header.pop("version") != _INDEX_VERSION:
+        raise ValueError("not a format version 2 index")
+    integral = all(a.dtype.kind == "i" and a.ndim == 1 for a in arrays.values())
+    text = ((header.pop("text_terms"), arrays.pop("text_ids"), arrays.pop("text_offsets"))
+            if "text_terms" in header else None)
+    index = InvertedIndex(header.pop("doc_ids"), terms=header.pop("terms"),
+                          field_name=header.pop("field"), pair_text=text, provenance=header,
+                          **arrays)
+    n_docs, n_postings = index.n_docs, len(index.post_docs)
+    fits = [integral, len(index.doc_rows) == n_docs == len(index.doc_lengths),
+            len(index.indptr) == len(index.terms) + 1, index.indptr[-1] == n_postings,
+            len(index.post_tfs) == n_postings, index.post_tfs.min(initial=1) >= 1,
+            index.post_docs.min(initial=0) >= 0, index.post_docs.max(initial=-1) < n_docs]
+    if text is not None:
+        text_terms, ids, offsets = text
+        fits += [len(offsets) == 2 * n_docs + 1, offsets[-1] == len(ids),
+                 ids.min(initial=0) >= 0, ids.max(initial=-1) < len(text_terms)]
+    if not all(fits):
+        raise ValueError("arrays of inconsistent type, shape or range, or a repeated doc id")
+    return index

@@ -11,7 +11,7 @@ import hashlib
 import string
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -161,39 +161,50 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    """Inverse of save_vocab."""
-    tokens: list[str] = []
+    """Inverse of save_vocab.
+
+    A malformed line, a repeated token and a file that does not start with
+    the PAD and UNK lines are ParseErrors naming the path and the line.
+    """
+    tokens: dict[str, int] = {}  # token -> id, in id order
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(_lines(fh), start=1):
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ParseError(f"expected token<TAB>id, got {line!r}", line_no)
+                raise ParseError(f"expected token<TAB>id, got {line!r} in {path}", line_no)
             token, idx = parts
             try:
                 position = int(idx)
             except ValueError:
-                raise ParseError(f"id {idx!r} of token {token!r} is not an integer",
+                raise ParseError(f"id {idx!r} of token {token!r} is not an integer in {path}",
                                  line_no) from None
             if position != len(tokens):
-                raise ParseError(f"non-contiguous id {idx} for token {token!r}", line_no)
-            tokens.append(token)
-    return Vocabulary(tokens)
+                raise ParseError(f"non-contiguous id {idx} for token {token!r} in {path}",
+                                 line_no)
+            if position < len(_RESERVED) and token != _RESERVED[position]:
+                raise ParseError(f"id {position} must be {_RESERVED[position]} in {path}", line_no)
+            if token in tokens:
+                raise ParseError(f"duplicate token {token!r} in {path}", line_no)
+            tokens[token] = position
+    if len(tokens) < len(_RESERVED):
+        raise ParseError(f"no {_RESERVED[len(tokens)]} line in {path}", len(tokens) + 1)
+    return Vocabulary(list(tokens))
 
 
-def provenance(tokenizer: Tokenizer, vocab: Vocabulary) -> dict:
+def provenance(tokenizer: Tokenizer, vocab: Vocabulary | None = None) -> dict:
     """What a checkpoint must be used with: tokenizer settings and vocabulary.
 
     Stopwords and the vocabulary enter as SHA-1 digests of their content, so
     a same-size vocabulary with other tokens or ids gives another value.
+    Without a vocabulary only the tokenizer entry is returned, which is what
+    an index records.
     """
     stopwords = hashlib.sha1("\n".join(sorted(tokenizer.stopwords)).encode("utf-8"))
-    vocab_digest = hashlib.sha1("\n".join(vocab.id_to_token).encode("utf-8"))
-    return {"tokenizer": f"lowercase={tokenizer.lowercase} "
-                         f"strip_punctuation={tokenizer.strip_punctuation} "
-                         f"stopwords={stopwords.hexdigest()}",
-            "vocabulary": vocab_digest.hexdigest()}
-
-
-def _lines(fh) -> Iterator[str]:
-    for line in fh:
-        yield line.rstrip("\n")
+    entries = {"tokenizer": f"lowercase={tokenizer.lowercase} "
+                            f"strip_punctuation={tokenizer.strip_punctuation} "
+                            f"stopwords={stopwords.hexdigest()}"}
+    if vocab is not None:
+        entries["vocabulary"] = hashlib.sha1(
+            "\n".join(vocab.id_to_token).encode("utf-8")).hexdigest()
+    return entries

@@ -47,11 +47,21 @@ def test_benchmark_selftest_passes():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-def test_paper_shape_round_is_correct():
-    done = _run(PERFBENCH / "run.py", "--workload", "paper-shape", "--seed", "1",
+def _round_is_correct(workload):
+    done = _run(PERFBENCH / "run.py", "--workload", workload, "--seed", "1",
                 "--seconds", "1", "--trace", "0", timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_paper_shape_round_is_correct():
+    _round_is_correct("paper-shape")
+
+
+def test_small_shape_train_round_is_correct():
+    # `convmatch index`, knowledge runs from the index alone, and the
+    # benchmark's own checks of search, expansion and PPMI against brute force
+    _round_is_correct("small-shape-train")

@@ -290,6 +290,24 @@ class TestMalformedInputs:
         assert main(["train", *flags]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_duplicate_vocab_token_is_two(self, workspace, capsys):
+        tmp_path, paths = workspace
+        vocab_path = tmp_path / "vocab.tsv"
+        vocab_path.write_text("<PAD>\t0\n<UNK>\t1\nx\t2\ny\t3\nx\t4\n", encoding="utf-8")
+        flags = _model_flags(tmp_path, paths, extra=("--vocab-file", str(vocab_path)))
+        assert main(["train", *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"line 5: duplicate token 'x' in {vocab_path}" in err
+
+    def test_vocab_without_reserved_head_is_two(self, workspace, capsys):
+        tmp_path, paths = workspace
+        vocab_path = tmp_path / "vocab.tsv"
+        vocab_path.write_text("<PAD>\t0\nx\t1\n<UNK>\t2\n", encoding="utf-8")
+        flags = _model_flags(tmp_path, paths, extra=("--vocab-file", str(vocab_path)))
+        assert main(["train", *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"line 2: id 1 must be <UNK> in {vocab_path}" in err
+
     @pytest.mark.parametrize("damage", ["not npz", "truncated", "no version"])
     def test_unreadable_checkpoint_is_one(self, workspace, capsys, damage):
         tmp_path, paths = workspace
@@ -349,14 +367,124 @@ class TestKnowledgeCaches:
         cached = (tmp_path / "cache" / "qa_pairs.tsv").read_text(encoding="utf-8")
         assert "\tq0." in cached
 
-        # same index, so the cache is reused, but every pair id has changed
+        # the same index with a QA file whose pair ids have all changed: the
+        # index records the SHA-1 of the file it was built from
         renamed = tmp_path / "renamed.tsv"
         with open(renamed, "w", encoding="utf-8") as fh:
             for line in qa_path.read_text(encoding="utf-8").splitlines():
                 fh.write("new-" + line + "\n")
         capsys.readouterr()
         assert main([*rank_flags, "--qa-file", str(renamed)]) == 2
+        assert "qa_sha1" in capsys.readouterr().err
+
+        # a pairs cache that names ids the indexed collection does not hold
+        cache_path = tmp_path / "cache" / "qa_pairs.tsv"
+        cache_path.write_text(cached.replace("\tq0.", "\tnew-q0."), encoding="utf-8")
+        assert main([*rank_flags, "--qa-file", str(qa_path)]) == 2
         assert "not in the QA collection" in capsys.readouterr().err
+
+
+def _retrievable_qa(tmp_path, paths):
+    """A QA collection built from the test set (question: the last context
+    turn, answer: a candidate), so that every candidate retrieves pairs."""
+    qa_path = tmp_path / "test_qa.tsv"
+    with open(qa_path, "w", encoding="utf-8") as fh:
+        for i, ex in enumerate(load_dataset(paths["test"], Tokenizer())):
+            for j, (tokens, _) in enumerate(ex.candidates):
+                fh.write(f"q{i}.{j}\t{' '.join(ex.context[-1])}\t{' '.join(tokens)}\n")
+    return qa_path
+
+
+class TestKnowledgeIndex:
+    """Knowledge runs read the QA pairs from the index, which records the QA
+    file and the tokenizer it was built with and refuses other partners."""
+
+    @pytest.fixture
+    def indexed(self, workspace):
+        tmp_path, paths = workspace
+        qa_path = _retrievable_qa(tmp_path, paths)
+        index_path = tmp_path / "qa.index"
+        assert main(["index", "--qa-file", str(qa_path), "--index-file", str(index_path)]) == 0
+        return tmp_path, paths, qa_path, index_path
+
+    def _expand(self, indexed, *extra):
+        tmp_path, paths, _, index_path = indexed
+        out = tmp_path / "expanded.tsv"
+        code = main(["expand", "--test-file", str(paths["test"]),
+                     "--index-file", str(index_path), "--output", str(out),
+                     "--prf-terms", "3", "--prf-docs", "2", "--c", "2", *extra])
+        return code, out
+
+    # Digests of the outputs of the version 1 text index, which read the QA file.
+    @pytest.mark.parametrize("variant, counting, digest", [
+        ("dmn-prf", "frequency", "3788e60a1d09a7d2bd3d27d0313e1bf7ec8af30d"),
+        ("dmn-kd", "frequency", "6af6ca9d84f672afa6d1b9e30bfb8b4305f4c3f9"),
+        ("dmn-kd", "binary", "67fb85893c8e45264f8f788e86ba27a984143f88"),
+    ])
+    def test_rank_digest_pinned(self, indexed, variant, counting, digest):
+        tmp_path, paths, qa_path, index_path = indexed
+        channels = "m1,m2,m3" if variant == "dmn-kd" else "m1,m2"
+        knowledge = ["--qa-file", str(qa_path), "--index-file", str(index_path),
+                     "--ppmi-counting", counting, "--prf-docs", "3", "--kd-pairs", "4"]
+        assert main(["train", *_model_flags(tmp_path, paths, extra=(
+            "--variant", variant, "--channels", channels, *knowledge))]) == 0
+        ranking = tmp_path / "ranking.tsv"
+        assert main(["rank", "--test-file", str(paths["test"]),
+                     "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--output", str(ranking), *knowledge]) == 0
+        assert hashlib.sha1(ranking.read_bytes()).hexdigest() == digest
+
+    def test_expand_digest_pinned(self, indexed):
+        code, out = self._expand(indexed, "--qa-file", str(indexed[2]))
+        assert code == 0
+        digest = hashlib.sha1(out.read_bytes()).hexdigest()
+        assert digest == "2ae9303e8e8b79e6da9136dd16a2f239d0e31416"
+        assert any(line.split("\t")[3] for line in out.read_text(encoding="utf-8").splitlines())
+
+    def test_qa_file_is_optional(self, indexed):
+        qa_path = indexed[2]
+        code, out = self._expand(indexed, "--qa-file", str(qa_path))
+        with_qa = out.read_bytes()
+        assert code == 0 and self._expand(indexed)[0] == 0
+        assert out.read_bytes() == with_qa
+
+    def test_other_qa_file_with_same_ids_is_exit_two(self, indexed, capsys):
+        tmp_path, _, qa_path, _ = indexed
+        other = tmp_path / "other_qa.tsv"
+        other.write_text(qa_path.read_text(encoding="utf-8").replace("\n", " extra\n"),
+                         encoding="utf-8")
+        capsys.readouterr()
+        assert self._expand(indexed, "--qa-file", str(other))[0] == 2
+        assert "qa_sha1" in capsys.readouterr().err
+
+    def test_flipped_lowercase_is_exit_one(self, indexed, capsys):
+        capsys.readouterr()
+        assert self._expand(indexed, "--lowercase", "false")[0] == 1
+        assert "lowercase=True" in capsys.readouterr().err
+
+    def test_changed_stopwords_is_exit_one(self, indexed, capsys):
+        stopwords = indexed[0] / "stopwords.txt"
+        stopwords.write_text("the\n", encoding="utf-8")
+        capsys.readouterr()
+        assert self._expand(indexed, "--stopwords-file", str(stopwords))[0] == 1
+        assert "stopwords=" in capsys.readouterr().err
+
+    def test_truncated_index_is_exit_one(self, indexed, capsys):
+        index_path = indexed[3]
+        index_path.write_bytes(index_path.read_bytes()[:-100])
+        capsys.readouterr()
+        assert self._expand(indexed)[0] == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(index_path) in err
+
+    def test_version_one_index_is_exit_one(self, indexed, capsys):
+        index_path = indexed[3]
+        index_path.write_text("convmatch.index\t1\tanswer\nD\tq0.0\t1\nP\tx\tq0.0\t1\n",
+                              encoding="utf-8")
+        capsys.readouterr()
+        assert self._expand(indexed)[0] == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "version 1 text index; rebuild it" in err
 
 
 class TestPretrainedEmbeddings:

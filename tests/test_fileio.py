@@ -8,7 +8,7 @@ import pytest
 
 from convmatch import nn
 from convmatch.corpus import DialogExample, save_dataset
-from convmatch.fileio import atomic_write
+from convmatch.fileio import atomic_write, write_rows
 from convmatch.knowledge import TsvCache
 from convmatch.retrieval import index_documents, save_index
 from convmatch.text import PAD_TOKEN, UNK_TOKEN, build_vocab, save_vocab
@@ -40,11 +40,21 @@ def _dataset(path, token):
                   DialogExample("d1", [["yo"]], [(["b"], 1), ([token], 0)])], path)
 
 
+def _rows(path, last_row):
+    write_rows(path, [("d0", 0, "x", 1), last_row])
+
+
 WRITERS = {
     "tsv_cache": (lambda p: _cache(p, ["z"]), lambda p: _cache(p, [Unwritable()])),
     "index": (lambda p: _index(p, "d2"), lambda p: _index(p, Unwritable())),
     "vocab": (lambda p: _vocab(p, "y"), lambda p: _vocab(p, Unwritable())),
     "dataset": (lambda p: _dataset(p, "c"), lambda p: _dataset(p, Unwritable())),
+    # cmd_rank: dialog_id, candidate index, score, rank
+    "ranking": (lambda p: _rows(p, ("d0", 1, 0.25, 2)),
+                lambda p: _rows(p, ("d0", 1, Unwritable(), 2))),
+    # cmd_expand: dialog_id, candidate index, response, appended terms
+    "expansions": (lambda p: _rows(p, ("d0", 1, "a b", "c")),
+                   lambda p: _rows(p, ("d0", 1, "a b", Unwritable()))),
 }
 
 

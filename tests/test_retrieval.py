@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from convmatch import retrieval
-from convmatch.corpus import DialogExample, QAPair
-from convmatch.errors import ConfigError, DataError, ParseError
+from convmatch.corpus import DialogExample, QAPair, load_qa_pairs
+from convmatch.errors import ConfigError, DataError
 from convmatch.retrieval import (bm25_rank_responses, bm25_score, build_index,
                                  doc_store, field_tokens, index_documents, load_index,
-                                 save_index, search)
+                                 save_index, search, stored_collection)
+from convmatch.text import Tokenizer
 
 
 def _random_docs(rng, n_docs, vocab_size=40, max_len=8):
@@ -229,48 +229,105 @@ class TestIndexSerialization:
         save_index(load_index(path_a), path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
-    @pytest.mark.parametrize("bad, line_no", [
-        ("P\tb\td9\t1\n", 6),  # unknown document
-        ("P\tb\td1\t0\n", 6),  # term frequency below 1
-        ("P\tb\td1\tx\n", 6),  # not a number
-        ("P\tb\td1\n", 6),  # missing field
-        ("D\td2\t1\n", 6),  # document record after the postings
-    ])
-    def test_bad_posting_record(self, tmp_path, bad, line_no):
-        path = tmp_path / "index.txt"
-        save_index(index_documents([("d0", ["a", "b"]), ("d1", ["b", "c"])]), path)
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_text("".join(lines[:line_no - 1] + [bad] + lines[line_no - 1:]),
-                        encoding="utf-8")
-        with pytest.raises(ParseError, match=f"line {line_no}:"):
-            load_index(path)
-
-    def test_round_trip_across_parse_blocks(self, rng, tmp_path, monkeypatch):
-        # one or two lines per block: rows continue from block to block
-        index = index_documents(_random_docs(rng, 60).items())
-        path_a, path_b = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_index(index, path_a)
-        monkeypatch.setattr(retrieval, "_BLOCK_LINES", 1)
-        save_index(index, path_b)
-        assert path_a.read_bytes() == path_b.read_bytes()
-        assert load_index(path_a).content_digest() == index.content_digest()
-
-    @pytest.mark.parametrize("block_lines", [1, 1 << 13])
-    def test_unsorted_terms_rejected(self, tmp_path, monkeypatch, block_lines):
-        monkeypatch.setattr(retrieval, "_BLOCK_LINES", block_lines)
-        path = tmp_path / "index.txt"
-        # with one-line blocks the two P lines land in different blocks
-        save_index(index_documents([("document0", ["alpha", "beta"])]), path)
-        header, doc, post_a, post_b = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_text(header + doc + post_b + post_a, encoding="utf-8")
-        with pytest.raises(ParseError, match="line 4:"):
-            load_index(path)
-
     def test_bad_header(self, tmp_path):
         path = tmp_path / "garbage.txt"
         path.write_text("not an index\n", encoding="utf-8")
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError, match="garbage.txt is not a readable index"):
             load_index(path)
+
+    def test_version_one_text_index_refused(self, tmp_path):
+        path = tmp_path / "old.index"
+        path.write_text("convmatch.index\t1\tanswer\nD\td0\t1\nP\ta\td0\t1\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="old.index is not a readable index: "
+                                              "a version 1 text index; rebuild it"):
+            load_index(path)
+
+    def test_truncated_archive_refused(self, rng, tmp_path):
+        path = tmp_path / "index.npz"
+        save_index(index_documents(_random_docs(rng, 30).items()), path)
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(ConfigError, match="index.npz is not a readable index"):
+            load_index(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda a: a.update(post_docs=a["post_docs"] + 5),        # unknown document
+        lambda a: a.update(post_tfs=a["post_tfs"] * 0),          # term frequency below 1
+        lambda a: a.update(post_tfs=a["post_tfs"][:-1]),         # column lengths differ
+        lambda a: a.update(indptr=a["indptr"][:-1]),             # one row short
+        lambda a: a.update(doc_lengths=a["doc_lengths"] * 1.0),  # not integers
+        lambda a: a.update(doc_lengths=a["doc_lengths"][:-1]),   # one length short
+        lambda a: a.update(text_offsets=a["text_offsets"][1:]),  # text spans do not fit
+        lambda a: a.update(text_ids=a["text_ids"] + 99),         # unknown text term
+        lambda a: a.pop("indptr"),                               # missing array
+        lambda a: a.update(header=np.frombuffer(b'{"format": "convmatch.index", '
+                                                b'"version": 3}', dtype=np.uint8)),
+        lambda a: a.update(header=np.frombuffer(b"{not json", dtype=np.uint8)),
+    ])
+    def test_inconsistent_arrays_refused(self, tmp_path, edit):
+        pairs = [QAPair(id="d0", question=["q"], answer=["a", "b"]),
+                 QAPair(id="d1", question=["r", "q"], answer=["b", "c"])]
+        path = tmp_path / "index.npz"
+        save_index(build_index(pairs, "answer"), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        edit(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ConfigError, match="is not a readable index"):
+            load_index(path)
+
+    def test_duplicate_document_ids_refused(self, tmp_path):
+        path = tmp_path / "index.npz"
+        index = index_documents([("d0", ["a"]), ("d1", ["a"])])
+        index.doc_ids = ["d0", "d0"]
+        save_index(index, path)
+        with pytest.raises(ConfigError, match="repeated doc id"):
+            load_index(path)
+
+    def test_any_document_id_round_trips(self, tmp_path):
+        path = tmp_path / "index.npz"
+        index = index_documents([("d\n0", ["a", "b"]), ("d\t1 \u00e9", ["b"]), ("", ["a"])])
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded.doc_ids == index.doc_ids
+        assert loaded.content_digest() == index.content_digest()
+
+    def test_provenance_round_trip_and_checks(self, tmp_path):
+        path = tmp_path / "index.npz"
+        made_with = {"tokenizer": "lowercase=True", "qa_sha1": "abc"}
+        save_index(build_index([QAPair(id="d0", question=["q"], answer=["a"])]), path,
+                   provenance=made_with)
+        loaded = load_index(path, provenance=made_with)
+        assert loaded.provenance == made_with
+        assert load_index(path, provenance={"unrecorded": "x"}).provenance == made_with
+        with pytest.raises(DataError, match="qa_sha1 'abc', this run has 'abd'"):
+            load_index(path, provenance={"qa_sha1": "abd"})
+        with pytest.raises(ConfigError, match="tokenizer"):
+            load_index(path, provenance={"tokenizer": "lowercase=False"})
+        resaved = tmp_path / "resaved.npz"
+        save_index(loaded, resaved)  # keeps the provenance it was loaded with
+        assert resaved.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("field", ["question", "answer", "concatenated"])
+    def test_stored_collection_matches_qa_file(self, tmp_path, field):
+        qa_path = tmp_path / "qa.tsv"
+        qa_path.write_text("p1\tHow do I fix it?\tReboot, then fix the cable.\n"
+                           "p0\tthe cable\tswap cable cable\n"
+                           "p2\t...\tdropped: no question tokens\n", encoding="utf-8")
+        pairs, _ = load_qa_pairs(qa_path, Tokenizer())
+        path = tmp_path / "qa.index"
+        save_index(build_index(pairs, field), path)
+        docs, pairs_by_id = stored_collection(load_index(path))
+        assert dict(docs) == doc_store(pairs, field)
+        assert dict(pairs_by_id) == {pair.id: pair for pair in pairs}
+        assert "p2" not in docs and "p2" not in pairs_by_id
+
+    def test_index_documents_stores_no_text(self, tmp_path):
+        path = tmp_path / "index.npz"
+        save_index(index_documents([("d0", ["a"])]), path)
+        with pytest.raises(ConfigError, match="stores no QA pair text"):
+            stored_collection(load_index(path))
 
     def test_doc_store_matches_index(self):
         pairs = [QAPair(id="p0", question=["q"], answer=["a", "b"])]
