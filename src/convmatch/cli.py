@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,28 +58,10 @@ class RunConfig:
     log_file: str = ""
     cache_dir: str = ""
     embeddings_file: str = ""
-    # Tokenizer and text.
+    # Tokenizer and vocabulary.
     lowercase: bool = True
     strip_punctuation: bool = True
     min_count: int = 5
-    truncate: str = "head"
-    # Model.
-    variant: str = "dmn"
-    channels: tuple = ("m1", "m2")
-    interaction: str = "dot"
-    l_u: int = 50
-    l_r: int = 50
-    c: int = 10
-    embed_dim: int = 200
-    gru_hidden: int = 200
-    conv_kernels: int = 8
-    conv_kernel_shape: tuple = (3, 3)
-    pool_shape: tuple = (3, 3)
-    conv_blocks: int = 1
-    conv_padding: int = 0
-    mlp_hidden: int = 50
-    dropout: float = 0.3
-    include_current_turn: bool = True
     # Knowledge.
     index_field: str = "answer"
     prf_docs: int = 10
@@ -88,21 +70,13 @@ class RunConfig:
     ppmi_counting: str = "frequency"
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
-    # Training.
-    margin: float = 1.0
-    l2: float = 0.0
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    batch_size: int = 50
-    epochs: int = 10
-    seed: int = 13
-    patience: int = 5
     # Data building.
     n_neg: int = 9
     depth: int = 1000
     sampler: str = "bm25"
+    # Model and training settings, validated by the commands that train.
+    model: model.ModelConfig = field(default_factory=model.ModelConfig)
+    train: training.TrainConfig = field(default_factory=training.TrainConfig)
 
     def tokenizer(self) -> text.Tokenizer:
         stopwords = frozenset()
@@ -112,29 +86,9 @@ class RunConfig:
                               strip_punctuation=self.strip_punctuation,
                               stopwords=stopwords)
 
-    def model_config(self) -> model.ModelConfig:
-        cfg = model.ModelConfig(
-            variant=self.variant, channels=self.channels, interaction=self.interaction,
-            l_u=self.l_u, l_r=self.l_r, c=self.c, embed_dim=self.embed_dim,
-            gru_hidden=self.gru_hidden,
-            conv=model.ConvLayerConfig(kernel_shape=self.conv_kernel_shape,
-                                       kernel_count=self.conv_kernels,
-                                       pool_shape=self.pool_shape,
-                                       padding=self.conv_padding),
-            conv_blocks=self.conv_blocks, mlp_hidden=self.mlp_hidden,
-            dropout=self.dropout, include_current_turn=self.include_current_turn,
-            truncate=self.truncate)
-        cfg.validate()
-        return cfg
-
-    def train_config(self) -> training.TrainConfig:
-        cfg = training.TrainConfig(
-            margin=self.margin, l2=self.l2, learning_rate=self.learning_rate,
-            beta1=self.beta1, beta2=self.beta2, adam_eps=self.adam_eps,
-            batch_size=self.batch_size, epochs=self.epochs, seed=self.seed,
-            patience=self.patience)
-        cfg.validate()
-        return cfg
+    def vocab_path(self) -> str:
+        """vocab_file, else the vocabulary written next to the checkpoint."""
+        return self.vocab_file or self.checkpoint + ".vocab.tsv"
 
     def require_files(self, *names: str) -> None:
         for name in names:
@@ -150,19 +104,30 @@ class RunConfig:
                 raise ConfigError(f"missing required setting {name!r}")
 
 
+# The CLI names of the ConvLayerConfig fields, which ModelConfig holds as `conv`.
+_CONV_NAMES = {"kernel_count": "conv_kernels", "kernel_shape": "conv_kernel_shape",
+               "pool_shape": "pool_shape", "padding": "conv_padding"}
+
+# Setting name (flag and config key) -> (the dataclass that holds it, its field there).
+SETTINGS = {
+    **{f.name: (RunConfig, f) for f in fields(RunConfig) if f.name not in ("model", "train")},
+    **{f.name: (model.ModelConfig, f) for f in fields(model.ModelConfig) if f.name != "conv"},
+    **{_CONV_NAMES[f.name]: (model.ConvLayerConfig, f) for f in fields(model.ConvLayerConfig)},
+    **{f.name: (training.TrainConfig, f) for f in fields(training.TrainConfig)},
+}
+
 _PARSERS = {"bool": _parse_bool, "int": int, "float": float, "tuple": _parse_pair}
 
 
-def _field_parser(cfg_field):
-    if cfg_field.name == "channels":
+def _setting_parser(name: str):
+    if name == "channels":
         return _parse_channels
-    return _PARSERS.get(cfg_field.type, str)
+    return _PARSERS.get(SETTINGS[name][1].type, str)
 
 
 def load_config_file(path) -> dict:
     """Parse a key=value config file; '#' starts a comment, blanks ignored."""
     values: dict = {}
-    known = {f.name: f for f in fields(RunConfig)}
     if not os.path.exists(path):
         raise ConfigError(f"config path does not exist: {path}")
     with open(path, encoding="utf-8") as fh:
@@ -175,10 +140,10 @@ def load_config_file(path) -> dict:
                                   f"got {stripped!r}")
             key, _, raw = stripped.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in SETTINGS:
                 raise ConfigError(f"{path}:{line_no}: unknown setting {key!r}")
             try:
-                values[key] = _field_parser(known[key])(raw.strip())
+                values[key] = _setting_parser(key)(raw.strip())
             except ValueError as exc:  # int()/float() failures and ConfigError alike
                 raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
     return values
@@ -189,19 +154,24 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
         values.update(load_config_file(args.config))
-    for cfg_field in fields(RunConfig):
-        flag_value = getattr(args, cfg_field.name, None)
+    for name in SETTINGS:
+        flag_value = getattr(args, name, None)
         if flag_value is not None:
-            values[cfg_field.name] = flag_value
-    return RunConfig(**values)
+            values[name] = flag_value
+    cfg = RunConfig()
+    holders = {RunConfig: cfg, model.ModelConfig: cfg.model,
+               model.ConvLayerConfig: cfg.model.conv, training.TrainConfig: cfg.train}
+    for name, value in values.items():
+        holder, holder_field = SETTINGS[name]
+        setattr(holders[holder], holder_field.name, value)
+    return cfg
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="key=value config file")
-    for cfg_field in fields(RunConfig):
-        flag = "--" + cfg_field.name.replace("_", "-")
-        parser.add_argument(flag, dest=cfg_field.name, default=None,
-                            type=_field_parser(cfg_field), metavar=cfg_field.name.upper())
+    for name in SETTINGS:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                            type=_setting_parser(name), metavar=name.upper())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -241,7 +211,7 @@ def cmd_build_data(cfg: RunConfig) -> None:
     cfg.require_files("train_file")
     cfg.require_outputs("output")
     tokenizer = cfg.tokenizer()
-    examples = corpus.load_dataset(cfg.train_file, tokenizer, max_context_turns=cfg.c)
+    examples = corpus.load_dataset(cfg.train_file, tokenizer, max_context_turns=cfg.model.c)
     pool_docs: dict = {}
     for example in examples:
         for tokens, label in example.candidates:
@@ -255,7 +225,7 @@ def cmd_build_data(cfg: RunConfig) -> None:
                 continue
             candidates = corpus.build_candidates(
                 tokens, pool_index, pool_docs, cfg.n_neg,
-                seed=int(np.random.default_rng([cfg.seed, ex_idx, cand_idx])
+                seed=int(np.random.default_rng([cfg.train.seed, ex_idx, cand_idx])
                          .integers(0, 2 ** 31)),
                 depth=cfg.depth, sampler=cfg.sampler, k1=cfg.bm25_k1, b=cfg.bm25_b)
             out_examples.append(corpus.DialogExample(
@@ -290,10 +260,11 @@ def cmd_train(cfg: RunConfig) -> None:
     cfg.require_files("train_file", "valid_file")
     cfg.require_outputs("checkpoint")
     tokenizer = cfg.tokenizer()
-    model_cfg = cfg.model_config()
-    train_cfg = cfg.train_config()
-    train_set = corpus.load_dataset(cfg.train_file, tokenizer, max_context_turns=cfg.c)
-    valid_set = corpus.load_dataset(cfg.valid_file, tokenizer, max_context_turns=cfg.c)
+    model_cfg, train_cfg = cfg.model, cfg.train
+    model_cfg.validate()
+    train_cfg.validate()
+    train_set = corpus.load_dataset(cfg.train_file, tokenizer, max_context_turns=model_cfg.c)
+    valid_set = corpus.load_dataset(cfg.valid_file, tokenizer, max_context_turns=model_cfg.c)
 
     if cfg.vocab_file and os.path.exists(cfg.vocab_file):
         vocab = text.load_vocab(cfg.vocab_file)
@@ -303,7 +274,7 @@ def cmd_train(cfg: RunConfig) -> None:
             streams.extend(example.context)
             streams.extend(tokens for tokens, _ in example.candidates)
         vocab = text.build_vocab(streams, cfg.min_count)
-        vocab_path = cfg.vocab_file or cfg.checkpoint + ".vocab.tsv"
+        vocab_path = cfg.vocab_path()
         text.save_vocab(vocab, vocab_path)
         print(f"built vocabulary of {len(vocab)} tokens -> {vocab_path}")
 
@@ -331,7 +302,7 @@ def _rank_dataset(cfg: RunConfig) -> tuple[list, list]:
     """Shared by rank and eval: returns (per-group rows, ranked label groups)."""
     cfg.require_files("test_file", "checkpoint")
     tokenizer = cfg.tokenizer()
-    vocab_path = cfg.vocab_file or cfg.checkpoint + ".vocab.tsv"
+    vocab_path = cfg.vocab_path()
     if not os.path.exists(vocab_path):
         raise ConfigError(f"vocabulary file not found: {vocab_path}")
     vocab = text.load_vocab(vocab_path)
@@ -371,7 +342,7 @@ def cmd_eval(cfg: RunConfig) -> None:
         if cfg.test_file:
             cfg.require_files("test_file")
             dataset = corpus.load_dataset(cfg.test_file, cfg.tokenizer(),
-                                          max_context_turns=cfg.c)
+                                          max_context_turns=cfg.model.c)
             expected = [example.dialog_id for example in dataset]
         report = metrics.evaluate_rankings(groups, expected_group_ids=expected)
     else:
@@ -388,7 +359,7 @@ def cmd_expand(cfg: RunConfig) -> None:
     cfg.require_files("test_file", "index_file")
     cfg.require_outputs("output")
     tokenizer = cfg.tokenizer()
-    dataset = corpus.load_dataset(cfg.test_file, tokenizer, max_context_turns=cfg.c)
+    dataset = corpus.load_dataset(cfg.test_file, tokenizer, max_context_turns=cfg.model.c)
     source = _load_knowledge(cfg, tokenizer)
     rows = [(example.dialog_id, cand_idx, " ".join(tokens),
              " ".join(source.expand(tokens)[len(tokens):]))
@@ -409,12 +380,15 @@ _COMMANDS = {
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="convmatch",
-                     description="Conversational response ranking pipeline")
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, func in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=func.__doc__)
-        _add_config_flags(sub)
+    """One parser for every command: each command accepts every setting, and
+    flags may come before or after the command."""
+    commands = "\n".join(f"  {name:<12}{func.__doc__}" for name, func in _COMMANDS.items())
+    parser = _Parser(prog="convmatch", formatter_class=argparse.RawDescriptionHelpFormatter,
+                     description="Conversational response ranking pipeline.\n\n"
+                                 "commands:\n" + commands)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands above")
+    _add_config_flags(parser)
     return parser
 
 

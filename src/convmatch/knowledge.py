@@ -88,11 +88,14 @@ def retrieve_qa_pairs(response: Sequence[str], index: InvertedIndex,
 
 
 def _pairs_by_ids(pairs_by_id: Mapping[str, object], ids: Sequence[str]) -> list:
-    missing = [pair_id for pair_id in ids if pair_id not in pairs_by_id]
-    if missing:
-        raise DataError(f"QA pair id {missing[0]!r} is not in the QA collection "
-                        f"(stale index or pairs cache?)")
-    return [pairs_by_id[pair_id] for pair_id in ids]
+    pairs = []
+    for pair_id in ids:  # one lookup per id: a lazy store decodes on every lookup
+        try:
+            pairs.append(pairs_by_id[pair_id])
+        except KeyError:
+            raise DataError(f"QA pair id {pair_id!r} is not in the QA collection "
+                            f"(stale index or pairs cache?)") from None
+    return pairs
 
 
 def ppmi_matrix(response_tokens: Sequence[str], utterance_tokens: Sequence[str],

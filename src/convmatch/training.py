@@ -18,6 +18,7 @@ import numpy as np
 from . import metrics, nn
 from .corpus import DialogExample
 from .errors import ConfigError, NumericError
+from .fileio import write_rows
 from .knowledge import KnowledgeSource
 from .model import (ModelConfig, ModelParams, PreparedExample, prepare_example,
                     rank_prepared, score_batch)
@@ -249,7 +250,6 @@ def train(train_set: Sequence[DialogExample], valid_set: Sequence[DialogExample]
 
 def write_log(rows: Sequence, path) -> None:
     """Training log TSV: epoch, train_loss, valid_map, valid_r@1, seconds."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(LOG_HEADER) + "\n")
-        for epoch, loss, valid_map, valid_r1, seconds in rows:
-            fh.write(f"{epoch}\t{loss!r}\t{valid_map!r}\t{valid_r1!r}\t{seconds:.3f}\n")
+    write_rows(path, [LOG_HEADER] + [
+        (epoch, repr(loss), repr(valid_map), repr(valid_r1), f"{seconds:.3f}")
+        for epoch, loss, valid_map, valid_r1, seconds in rows])

@@ -2,17 +2,20 @@
 
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from synth import knowledge_benefit_data, lexical_cue_dataset
-from convmatch.cli import RunConfig, build_run_config, load_config_file, main, make_parser
+from convmatch.cli import (SETTINGS, RunConfig, build_run_config, load_config_file, main,
+                           make_parser)
 from convmatch.corpus import load_dataset, save_dataset
 from convmatch.errors import ConfigError
 from convmatch import nn
-from convmatch.model import load_checkpoint, save_checkpoint
+from convmatch.model import ConvLayerConfig, ModelConfig, load_checkpoint, save_checkpoint
 from convmatch.text import Tokenizer, Vocabulary, build_vocab, load_vocab, save_vocab
+from convmatch.training import TrainConfig
 
 
 @pytest.fixture
@@ -75,8 +78,8 @@ class TestConfigFile:
         args = make_parser().parse_args(["train", "--config", str(path),
                                          "--epochs", "9"])
         cfg = build_run_config(args)
-        assert cfg.epochs == 9
-        assert cfg.seed == 1
+        assert cfg.train.epochs == 9
+        assert cfg.train.seed == 1
 
     @pytest.mark.parametrize("line", ["c = abc", "pool_shape = 3,x", "dropout = 0.x",
                                       "lowercase = maybe"])
@@ -95,9 +98,153 @@ class TestConfigFile:
         assert err.startswith("config error:") and "absent.cfg" in err
 
     def test_validation_rejects_bad_values_before_work(self):
-        cfg = RunConfig(dropout=1.5)
+        cfg = RunConfig(model=ModelConfig(dropout=1.5))
         with pytest.raises(ConfigError):
-            cfg.model_config()
+            cfg.model.validate()
+
+
+# Every setting at the time the CLI had one parser per command: its name (the
+# flag is --name with "_" as "-", the config key is the name), where RunConfig
+# holds it, the type of its parsed value and its default.
+PINNED_SETTINGS = [
+    ("train_file", "train_file", str, ""),
+    ("valid_file", "valid_file", str, ""),
+    ("test_file", "test_file", str, ""),
+    ("qa_file", "qa_file", str, ""),
+    ("index_file", "index_file", str, ""),
+    ("checkpoint", "checkpoint", str, ""),
+    ("vocab_file", "vocab_file", str, ""),
+    ("stopwords_file", "stopwords_file", str, ""),
+    ("ranking_file", "ranking_file", str, ""),
+    ("output", "output", str, ""),
+    ("log_file", "log_file", str, ""),
+    ("cache_dir", "cache_dir", str, ""),
+    ("embeddings_file", "embeddings_file", str, ""),
+    ("lowercase", "lowercase", bool, True),
+    ("strip_punctuation", "strip_punctuation", bool, True),
+    ("min_count", "min_count", int, 5),
+    ("truncate", "model.truncate", str, "head"),
+    ("variant", "model.variant", str, "dmn"),
+    ("channels", "model.channels", tuple, ("m1", "m2")),
+    ("interaction", "model.interaction", str, "dot"),
+    ("l_u", "model.l_u", int, 50),
+    ("l_r", "model.l_r", int, 50),
+    ("c", "model.c", int, 10),
+    ("embed_dim", "model.embed_dim", int, 200),
+    ("gru_hidden", "model.gru_hidden", int, 200),
+    ("conv_kernels", "model.conv.kernel_count", int, 8),
+    ("conv_kernel_shape", "model.conv.kernel_shape", tuple, (3, 3)),
+    ("pool_shape", "model.conv.pool_shape", tuple, (3, 3)),
+    ("conv_blocks", "model.conv_blocks", int, 1),
+    ("conv_padding", "model.conv.padding", int, 0),
+    ("mlp_hidden", "model.mlp_hidden", int, 50),
+    ("dropout", "model.dropout", float, 0.3),
+    ("include_current_turn", "model.include_current_turn", bool, True),
+    ("index_field", "index_field", str, "answer"),
+    ("prf_docs", "prf_docs", int, 10),
+    ("prf_terms", "prf_terms", int, 10),
+    ("kd_pairs", "kd_pairs", int, 10),
+    ("ppmi_counting", "ppmi_counting", str, "frequency"),
+    ("bm25_k1", "bm25_k1", float, 1.2),
+    ("bm25_b", "bm25_b", float, 0.75),
+    ("margin", "train.margin", float, 1.0),
+    ("l2", "train.l2", float, 0.0),
+    ("learning_rate", "train.learning_rate", float, 0.001),
+    ("beta1", "train.beta1", float, 0.9),
+    ("beta2", "train.beta2", float, 0.999),
+    ("adam_eps", "train.adam_eps", float, 1e-8),
+    ("batch_size", "train.batch_size", int, 50),
+    ("epochs", "train.epochs", int, 10),
+    ("seed", "train.seed", int, 13),
+    ("patience", "train.patience", int, 5),
+    ("n_neg", "n_neg", int, 9),
+    ("depth", "depth", int, 1000),
+    ("sampler", "sampler", str, "bm25"),
+]
+
+
+def _as_text(value) -> str:
+    """The flag or config-file spelling of a setting value."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _other_value(value):
+    """A value of the same type that differs from value."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, tuple):
+        return ("m3",) if isinstance(value[0], str) else (value[0] + 1, value[1] + 2)
+    return value + 1 if isinstance(value, (int, float)) else value + "x"
+
+
+def _resolve(cfg, path):
+    for part in path.split("."):
+        cfg = getattr(cfg, part)
+    return cfg
+
+
+class TestSettingsSurface:
+    """One declaration per setting: flags, config keys, types and defaults stay
+    those of the one-parser-per-command CLI."""
+
+    def test_flags_are_exactly_the_pinned_settings(self):
+        flags = {opt for action in make_parser()._actions for opt in action.option_strings}
+        assert flags == {"-h", "--help", "--config"} | {
+            "--" + name.replace("_", "-") for name, *_ in PINNED_SETTINGS}
+
+    def test_table_reaches_each_field_once(self):
+        assert sorted(SETTINGS) == sorted(name for name, *_ in PINNED_SETTINGS)
+        targets = [(holder, f.name) for holder, f in SETTINGS.values()]
+        assert len(set(targets)) == len(targets) == len(PINNED_SETTINGS)
+        leaves = {(RunConfig, f.name) for f in fields(RunConfig)} - {
+            (RunConfig, "model"), (RunConfig, "train")}
+        leaves |= {(ModelConfig, f.name) for f in fields(ModelConfig) if f.name != "conv"}
+        leaves |= {(holder, f.name) for holder in (ConvLayerConfig, TrainConfig)
+                   for f in fields(holder)}
+        assert set(targets) == leaves
+
+    def test_defaults(self):
+        cfg = RunConfig()
+        assert cfg.model == ModelConfig() and cfg.train == TrainConfig()
+        for name, path, kind, default in PINNED_SETTINGS:
+            value = _resolve(cfg, path)
+            assert type(value) is kind and value == default, name
+
+    def test_config_keys_parse_to_pinned_types(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{name} = {_as_text(default)}\n"
+                                for name, _, _, default in PINNED_SETTINGS), encoding="utf-8")
+        values = load_config_file(path)
+        assert values == {name: default for name, _, _, default in PINNED_SETTINGS}
+        assert all(type(values[name]) is kind for name, _, kind, _ in PINNED_SETTINGS)
+
+    @pytest.mark.parametrize("key", ["model", "train", "conv", "kernel_count", "padding",
+                                     "config", "command"])
+    def test_holder_and_field_names_are_not_keys(self, tmp_path, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown setting"):
+            load_config_file(path)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name, path, kind, default", PINNED_SETTINGS,
+                             ids=[entry[0] for entry in PINNED_SETTINGS])
+    def test_each_setting_reaches_its_field(self, tmp_path, source, name, path, kind, default):
+        value = _other_value(default)
+        if source == "flag":
+            argv = ["eval", "--" + name.replace("_", "-"), _as_text(value)]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{name} = {_as_text(value)}\n", encoding="utf-8")
+            argv = ["eval", "--config", str(config)]
+        cfg = build_run_config(make_parser().parse_args(argv))
+        assert type(_resolve(cfg, path)) is kind and _resolve(cfg, path) == value
+        expected = RunConfig()
+        holder, _, leaf = path.rpartition(".")
+        setattr(_resolve(expected, holder) if holder else expected, leaf, value)
+        assert cfg == expected
 
 
 class TestCmdIndex:
@@ -152,6 +299,15 @@ class TestCmdBuildData:
             assert main(["build-data", "--train-file", str(paths["train"]),
                          "--output", str(out), "--n-neg", "2", "--seed", "5",
                          "--c", "2"]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_flags_before_the_command(self, workspace, tmp_path):
+        _, paths = workspace
+        out_a, out_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        assert main(["build-data", "--train-file", str(paths["train"]), "--output", str(out_a),
+                     "--n-neg", "2", "--seed", "5", "--c", "2"]) == 0
+        assert main(["--train-file", str(paths["train"]), "--output", str(out_b),
+                     "--n-neg", "2", "--seed", "5", "build-data", "--c", "2"]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
 

@@ -12,6 +12,7 @@ from convmatch.fileio import atomic_write, write_rows
 from convmatch.knowledge import TsvCache
 from convmatch.retrieval import index_documents, save_index
 from convmatch.text import PAD_TOKEN, UNK_TOKEN, build_vocab, save_vocab
+from convmatch.training import write_log
 
 
 class Unwritable:
@@ -44,6 +45,10 @@ def _rows(path, last_row):
     write_rows(path, [("d0", 0, "x", 1), last_row])
 
 
+def _log(path, seconds):
+    write_log([(1, 0.5, 0.25, 0.0, 1.5), (2, 0.25, 0.5, 1.0, seconds)], path)
+
+
 WRITERS = {
     "tsv_cache": (lambda p: _cache(p, ["z"]), lambda p: _cache(p, [Unwritable()])),
     "index": (lambda p: _index(p, "d2"), lambda p: _index(p, Unwritable())),
@@ -55,6 +60,7 @@ WRITERS = {
     # cmd_expand: dialog_id, candidate index, response, appended terms
     "expansions": (lambda p: _rows(p, ("d0", 1, "a b", "c")),
                    lambda p: _rows(p, ("d0", 1, "a b", Unwritable()))),
+    "training_log": (lambda p: _log(p, 2.0), lambda p: _log(p, Unwritable())),
 }
 
 

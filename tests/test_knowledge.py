@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -191,6 +193,28 @@ class TestRetrieveQaPairs:
         by_id = {p.id: p for p in pairs}
         got = retrieve_qa_pairs(["w1", "w2"], index, by_id, top_pairs=10)
         assert len(got) <= 10
+
+    def test_each_retrieved_pair_looked_up_once(self, rng):
+        # the index's lazy store decodes a pair on every lookup
+        class CountingPairs(Mapping):
+            def __init__(self, pairs):
+                self.pairs, self.lookups = {p.id: p for p in pairs}, Counter()
+
+            def __getitem__(self, pair_id):
+                self.lookups[pair_id] += 1
+                return self.pairs[pair_id]
+
+            def __iter__(self):
+                return iter(self.pairs)
+
+            def __len__(self):
+                return len(self.pairs)
+
+        pairs = random_qa_pairs(rng, 30)
+        by_id = CountingPairs(pairs)
+        got = retrieve_qa_pairs(["w1", "w2"], build_index(pairs, "answer"), by_id, top_pairs=5)
+        assert got and by_id.lookups == Counter(pair.id for pair in got)
+        assert set(by_id.lookups.values()) == {1}
 
 
 class TestKnowledgeSource:

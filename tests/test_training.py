@@ -266,3 +266,12 @@ class TestWriteLog:
         line = path.read_text(encoding="utf-8").splitlines()[1].split("\t")
         assert float(line[1]) == rows[0][1]
         assert float(line[3]) == rows[0][3]
+
+    def test_bytes_pinned(self, tmp_path):
+        rows = [(1, 0.123456789012345, 0.5, 1.0 / 3.0, 0.01),
+                (2, 2.5e-17, 1.0, 0.0, 12.3456)]
+        path = tmp_path / "log.tsv"
+        write_log(rows, path)
+        assert path.read_bytes() == (b"epoch\ttrain_loss\tvalid_map\tvalid_r@1\tseconds\n"
+                                     b"1\t0.123456789012345\t0.5\t0.3333333333333333\t0.010\n"
+                                     b"2\t2.5e-17\t1.0\t0.0\t12.346\n")
