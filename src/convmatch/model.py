@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -436,21 +437,72 @@ def prepare_example(example: DialogExample, vocab: Vocabulary, cfg: ModelConfig,
                            cand_ids=cand_ids, labels=labels, m3=m3)
 
 
+# Most grid cells (N·M·c·l_r·l_u) that one score_batch call of score_examples
+# holds. At the acceptance shape that is 11 ten-candidate examples a call,
+# which removes most of the per-call overhead; a paper-shape example alone
+# exceeds it and is scored on its own. A larger budget saved little more time
+# and raised peak memory.
+_GRID_CELL_BUDGET = 8192
+
+
+def score_examples(prepared: Sequence[PreparedExample], params: ModelParams,
+                   cfg: ModelConfig) -> list[list[float]]:
+    """Evaluation-mode scores for every candidate of each example, in input order.
+
+    Examples with the same candidate count are scored together, as many per
+    score_batch call as fit _GRID_CELL_BUDGET grid cells and at least one. A
+    batched score may differ from the example's own score_prepared in the
+    last bits, as BLAS sums over another row count.
+    """
+    scores: list = [None] * len(prepared)
+    by_count: dict = {}
+    for idx, prep in enumerate(prepared):
+        by_count.setdefault(len(prep.cand_ids), []).append(idx)
+    with nn.no_grad():
+        for n_cand, members in by_count.items():
+            per_call = max(1, _GRID_CELL_BUDGET // (n_cand * cfg.c * cfg.l_r * cfg.l_u))
+            for start in range(0, len(members), per_call):
+                chunk = members[start:start + per_call]
+                utt, resp, m3 = _chunk_arrays([prepared[i] for i in chunk])
+                out = score_batch(utt, resp, params, cfg, m3=m3).values
+                for e, idx in enumerate(chunk):
+                    scores[idx] = out[e::len(chunk)].tolist()
+    return scores
+
+
+def _chunk_arrays(chunk: list) -> tuple:
+    """score_batch inputs for N examples with M candidates each: utt (N, c, l_u),
+    then the M·N response rows and m3 grids candidate-major, row i·N + e holding
+    candidate i of example e (score_batch pairs row j with context j mod N).
+    One example's arrays pass through uncopied."""
+    if len(chunk) == 1:
+        return chunk[0].utt_ids[None], chunk[0].cand_ids, chunk[0].m3
+    utt = np.stack([p.utt_ids for p in chunk])
+    resp = np.stack([p.cand_ids for p in chunk], axis=1)
+    resp = resp.reshape(-1, resp.shape[-1])
+    m3 = None
+    if chunk[0].m3 is not None:
+        m3 = np.stack([p.m3 for p in chunk], axis=1)
+        m3 = m3.reshape(-1, *m3.shape[2:])
+    return utt, resp, m3
+
+
 def score_prepared(prepared: PreparedExample, params: ModelParams,
                    cfg: ModelConfig) -> list[float]:
     """Evaluation-mode scores for every candidate of a prepared example."""
-    with nn.no_grad():
-        out = score_batch(prepared.utt_ids[None], prepared.cand_ids, params, cfg,
-                          m3=prepared.m3)
-    return [float(v) for v in out.values]
+    return score_examples([prepared], params, cfg)[0]
+
+
+def ranked(scores: Sequence[float]) -> list[tuple[int, float]]:
+    """(candidate_index, score) sorted by descending score, ties by index."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return [(i, scores[i]) for i in order]
 
 
 def rank_prepared(prepared: PreparedExample, params: ModelParams,
                   cfg: ModelConfig) -> list[tuple[int, float]]:
-    """(candidate_index, score) sorted by descending score, ties by index."""
-    scores = score_prepared(prepared, params, cfg)
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return [(i, scores[i]) for i in order]
+    """The example's candidates ranked by their score_prepared scores."""
+    return ranked(score_prepared(prepared, params, cfg))
 
 
 def rank(example: DialogExample, params: ModelParams, cfg: ModelConfig,

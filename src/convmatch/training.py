@@ -20,8 +20,9 @@ from .corpus import DialogExample
 from .errors import ConfigError, NumericError
 from .fileio import write_rows
 from .knowledge import KnowledgeSource
+# perfbench/tracing.py patches prepare_example, rank_prepared and score_batch here
 from .model import (ModelConfig, ModelParams, PreparedExample, prepare_example,
-                    rank_prepared, score_batch)
+                    rank_prepared, ranked, score_batch, score_examples)
 from .nn import Tensor
 from .text import Vocabulary
 
@@ -114,16 +115,24 @@ def hinge_loss(f_pos, f_neg, margin: float) -> Tensor:
 
 
 def adam_step(registry: dict, state: AdamState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update; parameters with no gradient stay put."""
-    state.t += 1
-    bias1 = 1.0 - cfg.beta1 ** state.t
-    bias2 = 1.0 - cfg.beta2 ** state.t
+    """One bias-corrected Adam update; parameters with no gradient stay put.
+
+    Every gradient is checked before anything changes, so a NumericError
+    leaves the parameters and the state as they were.
+    """
+    grads = {}
     for name, tensor in registry.items():
         grad = tensor.grad
         if grad is None:
             grad = np.zeros_like(tensor.values)
         if not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite gradient for parameter {name!r}")
+        grads[name] = grad
+    state.t += 1
+    bias1 = 1.0 - cfg.beta1 ** state.t
+    bias2 = 1.0 - cfg.beta2 ** state.t
+    for name, tensor in registry.items():
+        grad = grads[name]
         state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * grad
         state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * grad ** 2
         m_hat = state.m[name] / bias1
@@ -157,10 +166,10 @@ def validate_model(prepared_valid: Sequence[PreparedExample], params: ModelParam
                    cfg: ModelConfig) -> metrics.MetricsReport:
     """Rank every validation example and aggregate the ranking metrics."""
     groups = []
-    for prep in prepared_valid:
-        order = rank_prepared(prep, params, cfg)
+    for prep, scores in zip(prepared_valid, score_examples(prepared_valid, params, cfg)):
         groups.append(metrics.RankedLabels(
-            labels=[int(prep.labels[i]) for i, _ in order], group_id=prep.dialog_id))
+            labels=[int(prep.labels[i]) for i, _ in ranked(scores)],
+            group_id=prep.dialog_id))
     return metrics.evaluate_rankings(groups)
 
 

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import gru_weights_dict
+from conftest import gru_weights_dict, params_digest
 from synth import dataset_vocab, lexical_cue_dataset, random_qa_pairs
-from convmatch import nn
+from convmatch import model, nn
 from convmatch.corpus import DialogExample
 from convmatch.errors import ConfigError
 from convmatch.knowledge import KnowledgeSource, ppmi_matrix
 from convmatch.model import (ConvLayerConfig, ModelConfig, ModelParams, PreparedExample,
                              _stack_batch, conv_feature_size, load_checkpoint,
                              load_word_embeddings, param_shapes, prepare_example, rank,
-                             rank_prepared, save_checkpoint, score_batch, score_prepared)
+                             rank_prepared, ranked, save_checkpoint, score_batch,
+                             score_examples, score_prepared)
 from convmatch.retrieval import build_index, doc_store
 from convmatch.text import (PAD_ID, PAD_TOKEN, UNK_TOKEN, aligned_tokens,
                             build_vocab, encode)
@@ -77,15 +78,6 @@ class TestModelConfig:
         assert ModelConfig.from_json(cfg.to_json()) == cfg
 
 
-def _digest(params):
-    h = hashlib.sha1()
-    for name, tensor in params.registry().items():
-        h.update(name.encode())
-        h.update(repr(tensor.values.shape).encode())
-        h.update(tensor.values.tobytes())
-    return h.hexdigest()
-
-
 # (config, vocabulary size, seed, SHA-1 of the init arrays, to_json output)
 _PINNED = {
     "dot, two conv blocks": (
@@ -132,7 +124,7 @@ class TestParamTable:
         overrides, vocab_size, seed, digest, payload = _PINNED[case]
         cfg = ModelConfig(**overrides)
         params = ModelParams.init(cfg, vocab_size, seed=seed)
-        assert _digest(params) == digest
+        assert params_digest(params) == digest
         assert cfg.to_json() == payload
         assert ModelConfig.from_json(payload) == cfg
 
@@ -159,7 +151,7 @@ class TestParamTable:
     def test_copy_is_deep_and_ordered(self):
         params = ModelParams.init(tiny_config(), 9, seed=5)
         clone = params.copy()
-        assert _digest(clone) == _digest(params)
+        assert params_digest(clone) == params_digest(params)
         clone.registry()["mlp.b2"].values[0] = 1.0
         assert params.registry()["mlp.b2"].values[0] == 0.0
 
@@ -669,6 +661,105 @@ class TestEncodeOnce:
         params = ModelParams.init(cfg, vocab_size=9, seed=0)
         with pytest.raises(ConfigError):
             score_batch(np.full((2, 2, 4), 3), np.full((3, 4), 3), params, cfg)
+
+
+class TestScoreExamples:
+    """score_examples scores many examples per score_batch call; each must get
+    its own score_prepared scores back, up to BLAS summation order."""
+
+    @staticmethod
+    def _examples(counts, variant="dmn", seed=0):
+        channels = ("m1", "m2", "m3") if variant == "dmn-kd" else ("m1", "m2")
+        cfg = tiny_config(variant=variant, channels=channels, l_u=5, l_r=5, c=3,
+                          embed_dim=4, gru_hidden=3)
+        params = ModelParams.init(cfg, vocab_size=12, seed=seed, embed_scale=1.0)
+        rng = np.random.default_rng(seed)
+        examples = []
+        for n, n_cand in enumerate(counts):
+            utt_ids = rng.integers(2, 12, size=(cfg.c, cfg.l_u))
+            utt_ids[0, :n % cfg.l_u] = PAD_ID
+            cand_ids = rng.integers(2, 12, size=(n_cand, cfg.l_r))
+            cand_ids[:, -1] = PAD_ID
+            m3 = None
+            if variant == "dmn-kd":
+                m3 = np.maximum(rng.standard_normal((n_cand, cfg.c, cfg.l_r, cfg.l_u)),
+                                0.0)
+            examples.append(PreparedExample(f"d{n}", utt_ids, cand_ids,
+                                            np.zeros(n_cand, dtype=np.int64), m3))
+        return examples, params, cfg
+
+    @staticmethod
+    def _record_calls(monkeypatch):
+        calls = []
+        original = model.score_batch
+
+        def recording(utt_ids, resp_ids, *args, **kwargs):
+            calls.append((len(utt_ids), len(resp_ids)))
+            return original(utt_ids, resp_ids, *args, **kwargs)
+
+        monkeypatch.setattr(model, "score_batch", recording)
+        return calls
+
+    @staticmethod
+    def _assert_matches_one_by_one(batched, examples, params, cfg):
+        assert len(batched) == len(examples)
+        for scores, prep in zip(batched, examples):
+            single = score_prepared(prep, params, cfg)
+            assert len(scores) == len(prep.cand_ids)
+            np.testing.assert_allclose(scores, single, rtol=1e-12, atol=0)
+            assert [i for i, _ in ranked(scores)] == [i for i, _ in ranked(single)]
+
+    @pytest.mark.parametrize("variant", ["dmn", "dmn-kd"])
+    def test_mixed_candidate_counts_in_input_order(self, variant, monkeypatch):
+        examples, params, cfg = self._examples([3, 5, 3, 1, 5, 3, 2], variant, seed=1)
+        calls = self._record_calls(monkeypatch)
+        batched = score_examples(examples, params, cfg)
+        # one call per candidate count: 3, 5, 1 and 2
+        assert sorted(calls) == [(1, 1), (1, 2), (2, 10), (3, 9)]
+        self._assert_matches_one_by_one(batched, examples, params, cfg)
+
+    @pytest.mark.parametrize("variant", ["dmn", "dmn-kd"])
+    def test_many_chunks(self, variant, monkeypatch):
+        # 6 x 3 x 5 x 5 = 450 cells an example: 18 examples per call
+        examples, params, cfg = self._examples([6] * 40, variant, seed=2)
+        calls = self._record_calls(monkeypatch)
+        batched = score_examples(examples, params, cfg)
+        assert calls == [(18, 108), (18, 108), (4, 24)]
+        self._assert_matches_one_by_one(batched, examples, params, cfg)
+
+    def test_calls_stay_within_the_budget(self, monkeypatch):
+        examples, params, cfg = self._examples([2, 7, 4, 2, 7, 1, 4, 2, 9, 2], seed=3)
+        budget = 6 * cfg.c * cfg.l_r * cfg.l_u   # fits six candidates' grids
+        monkeypatch.setattr(model, "_GRID_CELL_BUDGET", budget)
+        calls = self._record_calls(monkeypatch)
+        batched = score_examples(examples, params, cfg)
+        assert sum(n for n, _ in calls) == len(examples)
+        for n_ctx, n_rows in calls:
+            assert n_rows * cfg.c * cfg.l_r * cfg.l_u <= budget or n_ctx == 1
+        assert (1, 7) in calls and (1, 9) in calls   # alone over the budget
+        self._assert_matches_one_by_one(batched, examples, params, cfg)
+
+    @pytest.mark.parametrize("variant", ["dmn", "dmn-kd"])
+    def test_budget_below_one_example_is_score_prepared(self, variant, monkeypatch):
+        examples, params, cfg = self._examples([4, 2, 4, 4], variant, seed=4)
+        single = [score_prepared(prep, params, cfg) for prep in examples]
+        monkeypatch.setattr(model, "_GRID_CELL_BUDGET", 1)
+        assert score_examples(examples, params, cfg) == single
+
+    def test_each_chunk_encoded_in_one_call(self, monkeypatch):
+        examples, params, cfg = self._examples([6] * 20 + [2] * 3, seed=5)
+        rows = []
+        original = nn.bigru
+
+        def counting(seq, fwd, bwd):
+            if fwd is params.enc_fwd:
+                rows.append(int(np.prod(seq.values.shape[:-2])))
+            return original(seq, fwd, bwd)
+
+        monkeypatch.setattr(nn, "bigru", counting)
+        score_examples(examples, params, cfg)
+        # contexts (N·c rows), then responses (N·M rows), for each chunk
+        assert rows == [18 * cfg.c, 18 * 6, 2 * cfg.c, 2 * 6, 3 * cfg.c, 3 * 2]
 
 
 class TestLoadWordEmbeddings:

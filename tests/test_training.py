@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import params_digest
 from synth import dataset_vocab, lexical_cue_dataset
 from convmatch import nn
 from convmatch.corpus import DialogExample
@@ -107,6 +108,21 @@ class TestAdamStep:
         state = AdamState.for_params(registry)
         with pytest.raises(NumericError, match="theta"):
             adam_step(registry, state, TrainConfig())
+
+    def test_non_finite_gradient_changes_nothing(self):
+        registry = {"a": Tensor(np.array([1.0, 2.0]), requires_grad=True),
+                    "b": Tensor(np.array([3.0]), requires_grad=True)}
+        registry["a"].grad = np.array([0.5, -0.5])
+        registry["b"].grad = np.array([np.nan])
+        state = AdamState.for_params(registry)
+        with pytest.raises(NumericError, match="'b'"):
+            adam_step(registry, state, TrainConfig())
+        np.testing.assert_array_equal(registry["a"].values, [1.0, 2.0])
+        np.testing.assert_array_equal(registry["b"].values, [3.0])
+        for moments in (state.m, state.v):
+            for name, values in moments.items():
+                np.testing.assert_array_equal(values, np.zeros_like(values), err_msg=name)
+        assert state.t == 0
 
 
 class TestL2Penalty:
@@ -216,6 +232,31 @@ class TestTrain:
         tcfg = TrainConfig(epochs=1, seed=5, batch_size=8, l2=1e-4)
         result = train(train_set, valid_set, vocab, cfg, tcfg)
         assert np.isfinite(result.log[0][1])
+
+    def test_params_and_log_pinned(self):
+        """Recorded when validation scored one example per call. It now scores
+        many per call: scores may move in the last bits, but no ranking,
+        metric or update may."""
+        train_set = lexical_cue_dataset(60, n_neg=3, n_cues=6, seed=31, prefix="t")
+        # 4 and 6 candidates, and more 4-candidate dialogs than one call holds
+        valid_set = (lexical_cue_dataset(30, n_neg=3, n_cues=6, seed=32, prefix="v")
+                     + lexical_cue_dataset(10, n_neg=5, n_cues=6, seed=33, prefix="w"))
+        vocab = dataset_vocab(train_set + valid_set)
+        cfg = ModelConfig(variant="dmn", channels=("m1", "m2"), interaction="dot",
+                          l_u=6, l_r=6, c=2, embed_dim=4, gru_hidden=2,
+                          conv=ConvLayerConfig(kernel_shape=(2, 2), kernel_count=2,
+                                               pool_shape=(2, 2)),
+                          mlp_hidden=4, dropout=0.0)
+        tcfg = TrainConfig(epochs=4, seed=8, batch_size=16, learning_rate=0.02,
+                           patience=10)
+        result = train(train_set, valid_set, vocab, cfg, tcfg)
+        assert [row[:4] for row in result.log] == [
+            (1, 0.9956122617515354, 0.5341666666666667, 0.25),
+            (2, 0.8009381834286566, 0.6270833333333332, 0.4),
+            (3, 0.341632987523675, 0.6708333333333332, 0.45),
+            (4, 0.19383772159367593, 0.6675, 0.45)]
+        assert result.best_epoch == 3
+        assert params_digest(result.params) == "6808d55ec8fa3dcec8e90231f29a41c913ad8992"
 
 
 class TestMergedStep:
