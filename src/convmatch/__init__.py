@@ -17,8 +17,8 @@ from .model import (ConvLayerConfig, ModelConfig, ModelParams, load_checkpoint,
                     prepare_example, rank, save_checkpoint)
 from .retrieval import (InvertedIndex, bm25_rank_responses, bm25_score, build_index,
                         load_index, save_index, search)
-from .text import (EncodedText, Tokenizer, Vocabulary, build_vocab, encode,
-                   load_vocab, save_vocab, tokenize)
+from .text import (Tokenizer, Vocabulary, build_vocab, encode, load_vocab, save_vocab,
+                   tokenize)
 from .training import AdamState, TrainConfig, adam_step, hinge_loss, make_triples, train
 
 __version__ = "0.1.0"

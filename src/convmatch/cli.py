@@ -210,6 +210,7 @@ def cmd_build_data(cfg: RunConfig) -> None:
     """Sample negative candidates for every positive in the input dataset."""
     cfg.require_files("train_file")
     cfg.require_outputs("output")
+    cfg.train.validate()
     tokenizer = cfg.tokenizer()
     examples = corpus.load_dataset(cfg.train_file, tokenizer, max_context_turns=cfg.model.c)
     pool_docs: dict = {}

@@ -175,6 +175,8 @@ def build_candidates(positive: Sequence[str], pool_index: InvertedIndex,
         raise ConfigError(f"n_neg must be >= 0, got {n_neg}")
     positive = list(positive)
     if sampler == "bm25":
+        if depth < 1:
+            raise ConfigError(f"depth must be >= 1, got {depth}")
         k = min(depth, pool_index.n_docs)
         hits = search(pool_index, positive, k, k1=k1, b=b) if k >= 1 else []
         candidate_ids = [doc_id for doc_id, _ in hits

@@ -20,7 +20,7 @@ from .corpus import DialogExample, window_context
 from .errors import ConfigError, DataError, ParseError
 from .knowledge import KnowledgeSource, ppmi_matrix
 from .nn import GRUParams, MLPParams, Tensor
-from .text import PAD_ID, Vocabulary, aligned_tokens, encode
+from .text import PAD_ID, Vocabulary, encode
 
 VARIANTS = ("dmn", "dmn-prf", "dmn-kd")
 CHANNELS = ("m1", "m2", "m3")
@@ -272,41 +272,21 @@ def load_word_embeddings(path, vocab: Vocabulary, dim: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EncodedContext:
-    """The response-independent half of the M1/M2 channels for N contexts."""
+def _stack_batch(utt_ids: np.ndarray, resp_ids: np.ndarray, params: ModelParams,
+                 cfg: ModelConfig, m3: np.ndarray | None) -> Tensor:
+    """Channel stacks for a batch: (N, c, l_u) x (B, l_r) -> (B, c, C, l_r, l_u).
 
-    emb: Tensor            # (N, c, l_u, d) utterance embeddings
-    hidden: Tensor | None  # (N, c, l_u, 2 * hidden) utterance BiGRU states, with m2
-    mask: np.ndarray       # (N, c, l_u) 1.0 at non-PAD positions
-
-
-def encode_context(utt_ids: np.ndarray, params: ModelParams,
-                   cfg: ModelConfig) -> EncodedContext:
-    """Embed and BiGRU-encode (N, c, l_u) utterance ids, once per context."""
-    n_ctx, n_turns, l_u = utt_ids.shape
-    emb = nn.embedding(params.embedding, utt_ids)
-    hidden = None
-    if "m2" in cfg.channels:
-        flat = nn.reshape(emb, (n_ctx * n_turns, l_u, cfg.embed_dim))
-        hidden = nn.reshape(nn.bigru(flat, params.enc_fwd, params.enc_bwd),
-                            (n_ctx, n_turns, l_u, 2 * cfg.gru_hidden))
-    return EncodedContext(emb, hidden, (utt_ids != PAD_ID).astype(np.float64))
-
-
-def match_context(ctx: EncodedContext, resp_ids: np.ndarray, params: ModelParams,
-                  cfg: ModelConfig, m3: np.ndarray | None) -> Tensor:
-    """Channel stacks (B, c, C, l_r, l_u) of B responses against N encoded contexts.
-
-    N divides B and response row j meets context j mod N: the encoded
-    states are broadcast over the B / N response blocks, never re-encoded.
+    N divides B and response row j meets context j mod N: each context is
+    embedded and BiGRU-encoded once, and its states are broadcast over the
+    B / N response blocks.
     """
-    n_ctx, n_turns, l_u = ctx.mask.shape
+    n_ctx, n_turns, l_u = utt_ids.shape
     n_batch, l_r = resp_ids.shape
     blocks = n_batch // n_ctx
+    utt_emb = nn.embedding(params.embedding, utt_ids)            # (N, c, l_u, d)
     resp_emb = nn.embedding(params.embedding, resp_ids)          # (B, l_r, d)
     mask = ((resp_ids != PAD_ID).astype(np.float64).reshape(blocks, n_ctx, 1, l_r, 1)
-            * ctx.mask[:, :, None, :])
+            * (utt_ids != PAD_ID)[:, :, None, :])
     mask_t = Tensor(mask.reshape(n_batch, n_turns, l_r, l_u))
 
     def grid(resp_rows: Tensor, utt_rows: Tensor, bilinear: Tensor | None) -> Tensor:
@@ -319,20 +299,17 @@ def match_context(ctx: EncodedContext, resp_ids: np.ndarray, params: ModelParams
     channels: list[Tensor] = []
     for channel in cfg.channels:
         if channel == "m1":
-            g = grid(resp_emb, ctx.emb, params.bilinear_m1)
+            g = grid(resp_emb, utt_emb, params.bilinear_m1)
         elif channel == "m2":
-            g = grid(nn.bigru(resp_emb, params.enc_fwd, params.enc_bwd), ctx.hidden,
+            flat = nn.reshape(utt_emb, (n_ctx * n_turns, l_u, cfg.embed_dim))
+            utt_hidden = nn.reshape(nn.bigru(flat, params.enc_fwd, params.enc_bwd),
+                                    (n_ctx, n_turns, l_u, 2 * cfg.gru_hidden))
+            g = grid(nn.bigru(resp_emb, params.enc_fwd, params.enc_bwd), utt_hidden,
                      params.bilinear_m2)
         else:  # m3
             g = Tensor(np.asarray(m3, dtype=np.float64))
         channels.append(nn.mul(g, mask_t))
     return nn.stack(channels, axis=2)
-
-
-def _stack_batch(utt_ids: np.ndarray, resp_ids: np.ndarray, params: ModelParams,
-                 cfg: ModelConfig, m3: np.ndarray | None) -> Tensor:
-    """Channel stacks for a batch: (N, c, l_u) x (B, l_r) -> (B, c, C, l_r, l_u)."""
-    return match_context(encode_context(utt_ids, params, cfg), resp_ids, params, cfg, m3)
 
 
 def score_batch(utt_ids: np.ndarray, resp_ids: np.ndarray, params: ModelParams,
@@ -407,7 +384,7 @@ def prepare_example(example: DialogExample, vocab: Vocabulary, cfg: ModelConfig,
 
     utt_ids = np.full((cfg.c, cfg.l_u), PAD_ID, dtype=np.int64)
     for slot, utterance in enumerate(context, start=pad_turns):
-        utt_ids[slot] = encode(utterance, vocab, cfg.l_u, cfg.truncate).ids
+        utt_ids[slot] = encode(utterance, vocab, cfg.l_u, cfg.truncate)
 
     n_cand = len(example.candidates)
     cand_ids = np.empty((n_cand, cfg.l_r), dtype=np.int64)
@@ -426,11 +403,11 @@ def prepare_example(example: DialogExample, vocab: Vocabulary, cfg: ModelConfig,
             model_tokens = knowledge.expand(model_tokens)
             # keep original tokens ahead of appended expansion terms
             cand_truncate = "head"
-        enc = encode(model_tokens, vocab, cfg.l_r, cand_truncate)
-        cand_ids[idx] = enc.ids
+        cand_ids[idx] = encode(model_tokens, vocab, cfg.l_r, cand_truncate)
         if m3 is not None:
             pairs = knowledge.retrieve_pairs(list(tokens))
-            grid = ppmi_matrix(aligned_tokens(enc, vocab), utt_tokens, pairs,
+            resp_tokens = [vocab.id_to_token[i] for i in cand_ids[idx].tolist()]
+            grid = ppmi_matrix(resp_tokens, utt_tokens, pairs,
                                counting=knowledge.ppmi_counting)
             m3[idx] = grid.reshape(cfg.l_r, cfg.c, cfg.l_u).transpose(1, 0, 2)
     return PreparedExample(dialog_id=example.dialog_id, utt_ids=utt_ids,
@@ -463,27 +440,27 @@ def score_examples(prepared: Sequence[PreparedExample], params: ModelParams,
             per_call = max(1, _GRID_CELL_BUDGET // (n_cand * cfg.c * cfg.l_r * cfg.l_u))
             for start in range(0, len(members), per_call):
                 chunk = members[start:start + per_call]
-                utt, resp, m3 = _chunk_arrays([prepared[i] for i in chunk])
+                # candidate-major: row i·N + e holds candidate i of example e
+                rows = [(e, i) for i in range(n_cand) for e in chunk]
+                utt, resp, m3 = stack_rows(prepared, chunk, rows)
                 out = score_batch(utt, resp, params, cfg, m3=m3).values
                 for e, idx in enumerate(chunk):
                     scores[idx] = out[e::len(chunk)].tolist()
     return scores
 
 
-def _chunk_arrays(chunk: list) -> tuple:
-    """score_batch inputs for N examples with M candidates each: utt (N, c, l_u),
-    then the M·N response rows and m3 grids candidate-major, row i·N + e holding
-    candidate i of example e (score_batch pairs row j with context j mod N).
-    One example's arrays pass through uncopied."""
-    if len(chunk) == 1:
-        return chunk[0].utt_ids[None], chunk[0].cand_ids, chunk[0].m3
-    utt = np.stack([p.utt_ids for p in chunk])
-    resp = np.stack([p.cand_ids for p in chunk], axis=1)
-    resp = resp.reshape(-1, resp.shape[-1])
+def stack_rows(prepared: Sequence[PreparedExample], contexts: Sequence[int],
+               rows: Sequence[tuple]) -> tuple:
+    """score_batch inputs: utt (N, c, l_u) holds the contexts of the examples
+    numbered in contexts, and resp (B, l_r) and m3 (B, c, l_r, l_u) or None
+    hold candidate i of example e for each (e, i) in rows. score_batch meets
+    response row j with context j mod N."""
+    # np.array copies a list of small equal-shape arrays faster than np.stack does
+    utt = np.array([prepared[e].utt_ids for e in contexts])
+    resp = np.array([prepared[e].cand_ids[i] for e, i in rows])
     m3 = None
-    if chunk[0].m3 is not None:
-        m3 = np.stack([p.m3 for p in chunk], axis=1)
-        m3 = m3.reshape(-1, *m3.shape[2:])
+    if prepared[contexts[0]].m3 is not None:
+        m3 = np.array([prepared[e].m3[i] for e, i in rows])
     return utt, resp, m3
 
 

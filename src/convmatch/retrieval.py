@@ -200,6 +200,8 @@ def _bm25(index: InvertedIndex, query: Sequence[str], k1: float,
     them in that order: the same sums, bit for bit, as adding the
     contributions one token at a time.
     """
+    if not (k1 >= 0.0 and 0.0 <= b <= 1.0):
+        raise ConfigError(f"BM25 needs k1 >= 0 and 0 <= b <= 1, got k1={k1}, b={b}")
     indptr = index.indptr
     spans = [(indptr[row], indptr[row + 1]) for row in
              (index.term_rows.get(term) for term in query) if row is not None]

@@ -97,9 +97,6 @@ class Vocabulary:
         """Id of token, or UNK for out-of-vocabulary tokens."""
         return self.token_to_id.get(token, UNK_ID)
 
-    def token_for(self, idx: int) -> str:
-        return self.id_to_token[idx]
-
 
 def build_vocab(token_streams: Iterable[Sequence[str]], min_count: int) -> Vocabulary:
     """Fit a Vocabulary over token streams, keeping tokens seen >= min_count times."""
@@ -113,23 +110,13 @@ def build_vocab(token_streams: Iterable[Sequence[str]], min_count: int) -> Vocab
     return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept)
 
 
-@dataclass
-class EncodedText:
-    """Fixed-length id sequence; ids[k] == PAD exactly for k >= true_len."""
-
-    ids: np.ndarray
-    true_len: int
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-
-
 def encode(tokens: Sequence[str], vocab: Vocabulary, max_len: int,
-           truncate: str = "head") -> EncodedText:
-    """Map tokens to ids, truncating to max_len and right-padding with PAD.
+           truncate: str = "head") -> np.ndarray:
+    """Map tokens to a (max_len,) int64 id array, truncated and right-padded.
 
     truncate="head" keeps the first max_len tokens, "tail" the last.
-    Out-of-vocabulary tokens map to UNK.
+    Out-of-vocabulary tokens map to UNK, and ids[k] == PAD exactly for k at
+    or past the number of tokens kept.
     """
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
@@ -140,17 +127,7 @@ def encode(tokens: Sequence[str], vocab: Vocabulary, max_len: int,
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
     for k, tok in enumerate(tokens):
         ids[k] = vocab.id_for(tok)
-    return EncodedText(ids=ids, true_len=len(tokens))
-
-
-def decode(encoded: EncodedText, vocab: Vocabulary) -> list[str]:
-    """Tokens of the non-PAD prefix (OOV positions come back as the UNK token)."""
-    return [vocab.token_for(int(i)) for i in encoded.ids[: encoded.true_len]]
-
-
-def aligned_tokens(encoded: EncodedText, vocab: Vocabulary) -> list[str]:
-    """One token per encoded slot, PAD included, for position-aligned lookups."""
-    return [vocab.token_for(int(i)) for i in encoded.ids]
+    return ids
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:

@@ -22,7 +22,7 @@ from .fileio import write_rows
 from .knowledge import KnowledgeSource
 # perfbench/tracing.py patches prepare_example, rank_prepared and score_batch here
 from .model import (ModelConfig, ModelParams, PreparedExample, prepare_example,
-                    rank_prepared, ranked, score_batch, score_examples)
+                    rank_prepared, ranked, score_batch, score_examples, stack_rows)
 from .nn import Tensor
 from .text import Vocabulary
 
@@ -57,12 +57,10 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in (0, 1), got {value}")
         if self.adam_eps <= 0:
             raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        for name, least in (("batch_size", 1), ("epochs", 0), ("patience", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class AdamState:
@@ -150,18 +148,6 @@ class TrainResult:
     skipped_examples: int = 0
 
 
-def _gather_batch(prepared: list, batch: list) -> tuple:
-    """Arrays for one batch of B triples: utt (B, c, l_u), then the 2B response
-    rows and their m3 grids ordered [positives; negatives]."""
-    utt = np.stack([prepared[e].utt_ids for e, _, _ in batch])
-    rows = [(e, pos) for e, pos, _ in batch] + [(e, neg) for e, _, neg in batch]
-    resp = np.stack([prepared[e].cand_ids[i] for e, i in rows])
-    m3 = None
-    if prepared[0].m3 is not None:
-        m3 = np.stack([prepared[e].m3[i] for e, i in rows])
-    return utt, resp, m3
-
-
 def validate_model(prepared_valid: Sequence[PreparedExample], params: ModelParams,
                    cfg: ModelConfig) -> metrics.MetricsReport:
     """Rank every validation example and aggregate the ranking metrics."""
@@ -219,7 +205,8 @@ def train(train_set: Sequence[DialogExample], valid_set: Sequence[DialogExample]
         n_batches = 0
         for start in range(0, len(order), train_cfg.batch_size):
             batch = [triples[i] for i in order[start:start + train_cfg.batch_size]]
-            utt, resp, m3 = _gather_batch(prepared_train, batch)
+            rows = [(e, pos) for e, pos, _ in batch] + [(e, neg) for e, _, neg in batch]
+            utt, resp, m3 = stack_rows(prepared_train, [e for e, _, _ in batch], rows)
             # one pass: each context is encoded once for its positive and negative
             scores = score_batch(utt, resp, params, model_cfg, m3=m3,
                                  training=True, dropout_rng=dropout_rng)

@@ -65,3 +65,24 @@ def test_small_shape_train_round_is_correct():
     # `convmatch index`, knowledge runs from the index alone, and the
     # benchmark's own checks of search, expansion and PPMI against brute force
     _round_is_correct("small-shape-train")
+
+
+def test_traced_round_reaches_every_layer():
+    # A call moved out of the module where the tracer patches it, or no
+    # longer made, reads as zero here instead of silently zeroing a metric.
+    trace = PERFBENCH / "out" / "trace-small-shape-train-seed1.json"
+    done = _run(PERFBENCH / "run.py", "--workload", "small-shape-train", "--seed", "1",
+                "--seconds", "1", "--trace", "1", timeout=300)
+    try:
+        assert done.returncode == 0, done.stderr[-2000:]
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        assert result["correct"] is True
+        assert result["failed"] == 0
+        assert json.loads(trace.read_text(encoding="utf-8"))["missing_wrappers"] == []
+    finally:
+        trace.unlink(missing_ok=True)
+    metrics = result["metrics"]
+    for name in ("text.encode.calls", "retrieval.search.postings_scanned",
+                 "knowledge.ppmi_matrix.calls", "model.score_batch.rows",
+                 "nn.bigru.encoder.rows", "training.steps"):
+        assert metrics[name]["value"] > 0, name

@@ -401,6 +401,18 @@ class TestCmdExpand:
         digest = hashlib.sha1(self._expand(workspace)).hexdigest()
         assert digest == "f43ed02dbce7b7b6f45e7df63854044b4da3377e"
 
+    def test_bm25_b_out_of_range_is_one(self, workspace, capsys):
+        tmp_path, paths = workspace
+        index_path = tmp_path / "qa.index"
+        assert main(["index", "--qa-file", str(paths["qa"]),
+                     "--index-file", str(index_path)]) == 0
+        out = tmp_path / "expanded.tsv"
+        assert main(["expand", "--test-file", str(paths["test"]),
+                     "--index-file", str(index_path), "--output", str(out),
+                     "--c", "2", "--bm25-b", "2"]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cache_dir_reused(self, workspace):
         cache_dir = workspace[0] / "cache"
         first = self._expand(workspace, "--cache-dir", str(cache_dir))
@@ -426,6 +438,23 @@ class TestExitCodes:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("extra", [("--seed", "-1"), ("--depth", "-5", "--n-neg", "1"),
+                                       ("--depth", "0", "--n-neg", "0")])
+    def test_build_data_bad_setting_is_one(self, workspace, capsys, extra):
+        tmp_path, paths = workspace
+        before = sorted(tmp_path.iterdir())
+        assert main(["build-data", "--train-file", str(paths["train"]),
+                     "--output", str(tmp_path / "sampled.tsv"), "--c", "2", *extra]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_train_negative_seed_is_one(self, workspace, capsys):
+        tmp_path, paths = workspace
+        before = sorted(tmp_path.iterdir())
+        assert main(["train", *_model_flags(tmp_path, paths, extra=("--seed", "-1"))]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_nan_score_in_ranking_file_is_two(self, tmp_path, capsys):
         ranking = tmp_path / "ranking.tsv"

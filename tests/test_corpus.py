@@ -175,6 +175,13 @@ class TestBuildCandidates:
                                  sampler="uniform")
         assert len(cands) == 5
 
+    @pytest.mark.parametrize("depth", [0, -5])
+    def test_bm25_depth_below_one_rejected(self, depth):
+        docs = _pool(10)
+        index = index_documents(docs.items())
+        with pytest.raises(ConfigError, match="depth"):
+            build_candidates(list(docs["r00000"]), index, docs, n_neg=0, seed=0, depth=depth)
+
     def test_unknown_sampler(self):
         docs = _pool(10)
         index = index_documents(docs.items())

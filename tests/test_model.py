@@ -19,8 +19,7 @@ from convmatch.model import (ConvLayerConfig, ModelConfig, ModelParams, Prepared
                              rank_prepared, ranked, save_checkpoint, score_batch,
                              score_examples, score_prepared)
 from convmatch.retrieval import build_index, doc_store
-from convmatch.text import (PAD_ID, PAD_TOKEN, UNK_TOKEN, aligned_tokens,
-                            build_vocab, encode)
+from convmatch.text import PAD_ID, PAD_TOKEN, UNK_TOKEN, build_vocab, encode
 from convmatch.training import hinge_loss
 
 
@@ -411,11 +410,11 @@ class TestKnowledgeVariants:
         expected = np.zeros_like(prepared.m3)
         for idx, (tokens, _) in enumerate(example.candidates):
             retrieved = source.retrieve_pairs(tokens)
-            resp = aligned_tokens(encode(tokens, vocab, cfg.l_r, cfg.truncate), vocab)
+            resp = [vocab.id_to_token[i] for i in encode(tokens, vocab, cfg.l_r, cfg.truncate)]
             for slot, utt_ids in enumerate(prepared.utt_ids):
                 if utt_ids.any():
                     expected[idx, slot] = ppmi_matrix(
-                        resp, [vocab.token_for(int(i)) for i in utt_ids], retrieved,
+                        resp, [vocab.id_to_token[i] for i in utt_ids], retrieved,
                         counting=counting)
         assert expected[:, 2:].any()
         assert prepared.m3.tobytes() == expected.tobytes()
@@ -426,7 +425,7 @@ class TestKnowledgeVariants:
         prepared = prepare_example(example, vocab, cfg, source)
         expanded = source.expand(["w4", "w5"])
         manual = encode(expanded, vocab, cfg.l_r, "head")
-        assert prepared.cand_ids[0].tolist() == manual.ids.tolist()
+        assert prepared.cand_ids[0].tolist() == manual.tolist()
 
     def test_variant_needs_knowledge(self):
         _, example, vocab = self._kd_setup()
@@ -576,7 +575,7 @@ class TestTruncateVariants:
                                 candidates=[([f"t{i}" for i in range(6)], 1)])
         prepared = prepare_example(example, vocab, cfg)
         manual = encode([f"t{i}" for i in range(6)], vocab, cfg.l_r, "tail")
-        assert prepared.cand_ids[0].tolist() == manual.ids.tolist()
+        assert prepared.cand_ids[0].tolist() == manual.tolist()
 
 
 class TestConvFeatureSize:

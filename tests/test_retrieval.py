@@ -124,6 +124,21 @@ class TestSearch:
         with pytest.raises(ConfigError):
             search(index, ["a"], 0)
 
+    @pytest.mark.parametrize("k1, b", [(-1.2, 0.75), (1.2, 3.0), (1.2, -0.1),
+                                       (float("nan"), 0.75), (1.2, float("nan"))])
+    def test_bm25_parameters_out_of_range_rejected(self, k1, b):
+        # with k1 < 0 or b outside [0, 1] the length-normalised denominator can reach 0
+        index = index_documents([("d0", ["x", "y"]), ("d1", ["z"] * 6)])
+        with pytest.raises(ConfigError, match="BM25"):
+            search(index, ["x", "z"], 3, k1=k1, b=b)
+
+    @pytest.mark.parametrize("k1, b", [(0.0, 0.75), (1.2, 0.0), (1.2, 1.0)])
+    def test_bm25_parameters_at_the_bounds_accepted(self, k1, b):
+        index = index_documents([("d0", ["x", "y"]), ("d1", ["z"] * 6)])
+        hits = search(index, ["x", "z"], 3, k1=k1, b=b)
+        assert sorted(doc for doc, _ in hits) == ["d0", "d1"]
+        assert all(score > 0 for _, score in hits)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_exhaustive_oracle(self, seed):
         rng = np.random.default_rng(seed)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from convmatch.errors import ConfigError
 from convmatch.text import (PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, Tokenizer,
-                            Vocabulary, build_vocab, decode, encode, load_stopwords,
+                            Vocabulary, build_vocab, encode, load_stopwords,
                             load_vocab, save_vocab, tokenize)
 
 
@@ -85,35 +85,35 @@ class TestEncode:
         return build_vocab([["a", "a", "a", "b", "b", "c"]], min_count=1)
 
     def test_padding(self, vocab):
-        enc = encode(["a"], vocab, max_len=3)
-        assert enc.ids.tolist() == [vocab.token_to_id["a"], PAD_ID, PAD_ID]
-        assert enc.true_len == 1
+        ids = encode(["a"], vocab, max_len=3)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [vocab.token_to_id["a"], PAD_ID, PAD_ID]
 
     def test_oov_maps_to_unk(self, vocab):
-        enc = encode(["zzz"], vocab, max_len=1)
-        assert enc.ids.tolist() == [UNK_ID]
-        assert enc.true_len == 1
+        ids = encode(["zzz"], vocab, max_len=1)
+        assert ids.tolist() == [UNK_ID]
 
     def test_head_truncation(self, vocab):
-        enc = encode(["a", "b", "c"], vocab, max_len=2)
-        assert enc.ids.tolist() == [vocab.token_to_id["a"], vocab.token_to_id["b"]]
-        assert enc.true_len == 2
+        ids = encode(["a", "b", "c"], vocab, max_len=2)
+        assert ids.tolist() == [vocab.token_to_id["a"], vocab.token_to_id["b"]]
 
     def test_tail_truncation(self, vocab):
-        enc = encode(["a", "b", "c"], vocab, max_len=2, truncate="tail")
-        assert enc.ids.tolist() == [vocab.token_to_id["b"], vocab.token_to_id["c"]]
+        ids = encode(["a", "b", "c"], vocab, max_len=2, truncate="tail")
+        assert ids.tolist() == [vocab.token_to_id["b"], vocab.token_to_id["c"]]
 
     def test_pad_exactly_after_true_len(self, vocab):
-        enc = encode(["a", "b"], vocab, max_len=5)
-        for k, value in enumerate(enc.ids):
-            assert (value == PAD_ID) == (k >= enc.true_len)
+        tokens = ["a", "b"]
+        ids = encode(tokens, vocab, max_len=5)
+        for k, value in enumerate(ids):
+            assert (value == PAD_ID) == (k >= len(tokens))
 
     @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=0, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_round_trip(self, tokens):
         vocab = build_vocab([["a", "b", "c"]], min_count=1)
-        enc = encode(tokens, vocab, max_len=6)
-        assert decode(enc, vocab) == tokens
+        ids = encode(tokens, vocab, max_len=6)
+        assert [vocab.id_to_token[i] for i in ids[:len(tokens)]] == tokens
+        assert (ids[len(tokens):] == PAD_ID).all()
 
 
 class TestSerialization:

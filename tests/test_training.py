@@ -145,6 +145,12 @@ def _train_setup(n_examples=12, seed=5):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("batch_size", 0),
+                                              ("epochs", -1), ("patience", 0)])
+    def test_config_rejects_bad_counts(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
+
     def test_zero_epochs_returns_initial_params(self):
         train_set, valid_set, vocab, cfg = _train_setup()
         tcfg = TrainConfig(epochs=0, seed=3, batch_size=8)
