@@ -212,7 +212,8 @@ def cmd_build_data(cfg: RunConfig) -> None:
     cfg.require_outputs("output")
     cfg.train.validate()
     tokenizer = cfg.tokenizer()
-    examples = corpus.load_dataset(cfg.train_file, tokenizer, max_context_turns=cfg.model.c)
+    examples = corpus.load_dataset(cfg.train_file, tokenizer,
+                                   max_context_turns=cfg.model.context_turns)
     pool_docs: dict = {}
     for example in examples:
         for tokens, label in example.candidates:
@@ -264,8 +265,10 @@ def cmd_train(cfg: RunConfig) -> None:
     model_cfg, train_cfg = cfg.model, cfg.train
     model_cfg.validate()
     train_cfg.validate()
-    train_set = corpus.load_dataset(cfg.train_file, tokenizer, max_context_turns=model_cfg.c)
-    valid_set = corpus.load_dataset(cfg.valid_file, tokenizer, max_context_turns=model_cfg.c)
+    train_set = corpus.load_dataset(cfg.train_file, tokenizer,
+                                    max_context_turns=model_cfg.context_turns)
+    valid_set = corpus.load_dataset(cfg.valid_file, tokenizer,
+                                    max_context_turns=model_cfg.context_turns)
 
     if cfg.vocab_file and os.path.exists(cfg.vocab_file):
         vocab = text.load_vocab(cfg.vocab_file)
@@ -309,7 +312,8 @@ def _rank_dataset(cfg: RunConfig) -> tuple[list, list]:
     vocab = text.load_vocab(vocab_path)
     params, model_cfg = model.load_checkpoint(cfg.checkpoint, vocab_size=len(vocab),
                                               provenance=text.provenance(tokenizer, vocab))
-    dataset = corpus.load_dataset(cfg.test_file, tokenizer, max_context_turns=model_cfg.c)
+    dataset = corpus.load_dataset(cfg.test_file, tokenizer,
+                                  max_context_turns=model_cfg.context_turns)
     source = None if model_cfg.variant == "dmn" else _load_knowledge(cfg, tokenizer)
     rows = []
     groups = []
@@ -343,7 +347,7 @@ def cmd_eval(cfg: RunConfig) -> None:
         if cfg.test_file:
             cfg.require_files("test_file")
             dataset = corpus.load_dataset(cfg.test_file, cfg.tokenizer(),
-                                          max_context_turns=cfg.model.c)
+                                          max_context_turns=cfg.model.context_turns)
             expected = [example.dialog_id for example in dataset]
         report = metrics.evaluate_rankings(groups, expected_group_ids=expected)
     else:
@@ -360,7 +364,8 @@ def cmd_expand(cfg: RunConfig) -> None:
     cfg.require_files("test_file", "index_file")
     cfg.require_outputs("output")
     tokenizer = cfg.tokenizer()
-    dataset = corpus.load_dataset(cfg.test_file, tokenizer, max_context_turns=cfg.model.c)
+    dataset = corpus.load_dataset(cfg.test_file, tokenizer,
+                                  max_context_turns=cfg.model.context_turns)
     source = _load_knowledge(cfg, tokenizer)
     rows = [(example.dialog_id, cand_idx, " ".join(tokens),
              " ".join(source.expand(tokens)[len(tokens):]))

@@ -80,6 +80,12 @@ class ModelConfig:
     def __post_init__(self):
         self.channels = tuple(self.channels)
 
+    @property
+    def context_turns(self) -> int:
+        """Last turns of a dialog that prepare_example reads: the c it feeds,
+        plus the current turn it drops when include_current_turn is false."""
+        return self.c + (not self.include_current_turn)
+
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")

@@ -11,6 +11,7 @@ any of them against central finite differences.
 
 from __future__ import annotations
 
+import inspect
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -113,6 +114,8 @@ def _accum(grads: dict, t: Tensor, g: np.ndarray) -> None:
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient over the axes numpy broadcast when producing it."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -143,48 +146,46 @@ def _make(values, parents, backward_fn) -> Tensor:
     return Tensor(values)
 
 
-def add(a, b) -> Tensor:
-    a, b = _tensor(a), _tensor(b)
-    out = a.values + b.values
-
-    def bw(g, grads):
-        _accum(grads, a, _unbroadcast(g, a.values.shape))
-        _accum(grads, b, _unbroadcast(g, b.values.shape))
-
-    return _make(out, (a, b), bw)
+def _sigmoid_values(x: np.ndarray) -> np.ndarray:
+    # exp(-|x|) never overflows; both branches share it
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _tensor(a), _tensor(b)
-    out = a.values - b.values
+def _elementwise(forward: Callable, *partials: Callable) -> Callable[..., Tensor]:
+    """The op forward(*values) on Tensors or plain values, with one partial per input.
 
-    def bw(g, grads):
-        _accum(grads, a, _unbroadcast(g, a.values.shape))
-        _accum(grads, b, _unbroadcast(-g, b.values.shape))
+    partial(g, *values, out) is that input's gradient at the output's shape;
+    it is summed back over the axes numpy broadcast the input along. The op
+    takes the forward's signature, returning a Tensor.
+    """
+    def op(*args) -> Tensor:
+        inputs = [_tensor(x) for x in args]
+        values = [t.values for t in inputs]
+        out = forward(*values)
 
-    return _make(out, (a, b), bw)
+        def bw(g, grads):
+            for t, partial in zip(inputs, partials):
+                if t.requires_grad:
+                    _accum(grads, t, _unbroadcast(partial(g, *values, out), t.values.shape))
+
+        return _make(out, inputs, bw)
+
+    op.__signature__ = inspect.signature(forward).replace(return_annotation="Tensor")
+    return op
 
 
-def mul(a, b) -> Tensor:
-    a, b = _tensor(a), _tensor(b)
-    out = a.values * b.values
-
-    def bw(g, grads):
-        _accum(grads, a, _unbroadcast(g * b.values, a.values.shape))
-        _accum(grads, b, _unbroadcast(g * a.values, b.values.shape))
-
-    return _make(out, (a, b), bw)
-
-
-def divide(a, b) -> Tensor:
-    a, b = _tensor(a), _tensor(b)
-    out = a.values / b.values
-
-    def bw(g, grads):
-        _accum(grads, a, _unbroadcast(g / b.values, a.values.shape))
-        _accum(grads, b, _unbroadcast(-g * a.values / (b.values ** 2), b.values.shape))
-
-    return _make(out, (a, b), bw)
+add = _elementwise(lambda a, b: a + b, lambda g, a, b, out: g, lambda g, a, b, out: g)
+sub = _elementwise(lambda a, b: a - b, lambda g, a, b, out: g, lambda g, a, b, out: -g)
+mul = _elementwise(lambda a, b: a * b, lambda g, a, b, out: g * b, lambda g, a, b, out: g * a)
+divide = _elementwise(lambda a, b: a / b, lambda g, a, b, out: g / b,
+                      lambda g, a, b, out: -g * a / (b ** 2))
+sigmoid = _elementwise(lambda a: _sigmoid_values(a), lambda g, a, out: g * out * (1.0 - out))
+tanh_op = _elementwise(lambda a: np.tanh(a), lambda g, a, out: g * (1.0 - out ** 2))
+relu = _elementwise(lambda a: np.maximum(a, 0.0), lambda g, a, out: g * (a > 0.0))
+sqrt_op = _elementwise(lambda a: np.sqrt(a), lambda g, a, out: g / (2.0 * out))
+square = _elementwise(lambda a: a ** 2, lambda g, a, out: g * 2.0 * a)
 
 
 def matmul(a, b) -> Tensor:
@@ -269,10 +270,7 @@ def sum_op(a, axis=None, keepdims: bool = False) -> Tensor:
     shape = a.values.shape
 
     def bw(g, grads):
-        if axis is None:
-            _accum(grads, a, np.broadcast_to(g, shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(grads, a, np.broadcast_to(g, shape).copy())
 
@@ -283,62 +281,6 @@ def mean_op(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _tensor(a)
     count = a.values.size if axis is None else a.values.shape[axis]
     return mul(sum_op(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; both branches share it
-    e = np.exp(-np.abs(x))
-    denom = 1.0 + e
-    return np.where(x >= 0, 1.0 / denom, e / denom)
-
-
-def sigmoid(a) -> Tensor:
-    a = _tensor(a)
-    out = _sigmoid_values(a.values)
-
-    def bw(g, grads):
-        _accum(grads, a, g * out * (1.0 - out))
-
-    return _make(out, (a,), bw)
-
-
-def tanh_op(a) -> Tensor:
-    a = _tensor(a)
-    out = np.tanh(a.values)
-
-    def bw(g, grads):
-        _accum(grads, a, g * (1.0 - out ** 2))
-
-    return _make(out, (a,), bw)
-
-
-def relu(a) -> Tensor:
-    a = _tensor(a)
-    out = np.maximum(a.values, 0.0)
-
-    def bw(g, grads):
-        _accum(grads, a, g * (a.values > 0.0))
-
-    return _make(out, (a,), bw)
-
-
-def sqrt_op(a) -> Tensor:
-    a = _tensor(a)
-    out = np.sqrt(a.values)
-
-    def bw(g, grads):
-        _accum(grads, a, g / (2.0 * out))
-
-    return _make(out, (a,), bw)
-
-
-def square(a) -> Tensor:
-    a = _tensor(a)
-
-    def bw(g, grads):
-        _accum(grads, a, g * 2.0 * a.values)
-
-    return _make(a.values ** 2, (a,), bw)
 
 
 def clamp_min(a, floor: float) -> Tensor:
@@ -491,11 +433,6 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = No
 # ---------------------------------------------------------------------------
 
 
-def glorot_bound(fan_in: int, fan_out: int) -> float:
-    """Uniform bound sqrt(6 / (fan_in + fan_out)) that keeps signal variance flat."""
-    return float(np.sqrt(6.0 / (fan_in + fan_out)))
-
-
 def init_weight(shape: tuple, rng: np.random.Generator,
                 scale: float | None = None) -> np.ndarray:
     """Zeros for a bias (1-D); otherwise uniform in +-scale when given, else in
@@ -504,7 +441,7 @@ def init_weight(shape: tuple, rng: np.random.Generator,
         return np.zeros(shape)
     if scale is None:
         field = int(np.prod(shape[2:]))
-        scale = glorot_bound(shape[1] * field, shape[0] * field)
+        scale = float(np.sqrt(6.0 / (shape[1] * field + shape[0] * field)))
     return rng.uniform(-scale, scale, size=shape)
 
 

@@ -43,9 +43,6 @@ class Tokenizer:
     strip_punctuation: bool = True
     stopwords: frozenset = frozenset()
 
-    def __call__(self, raw: str) -> list[str]:
-        return tokenize(raw, self)
-
 
 def tokenize(raw: str, cfg: Tokenizer = Tokenizer()) -> list[str]:
     """Split raw text into tokens according to cfg; empty input gives []."""

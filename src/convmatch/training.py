@@ -9,6 +9,7 @@ Everything is driven by a single seed, so a run is exactly reproducible.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -45,18 +46,17 @@ class TrainConfig:
     patience: int = 5
 
     def validate(self) -> None:
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be > 0, got {self.margin}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be >= 0, got {self.l2}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # chained comparisons: NaN fails every one of them
+        for name in ("margin", "learning_rate", "adam_eps"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1), got {value}")
-        if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
         for name, least in (("batch_size", 1), ("epochs", 0), ("patience", 1), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < least:

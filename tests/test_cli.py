@@ -10,11 +10,13 @@ import pytest
 from synth import knowledge_benefit_data, lexical_cue_dataset
 from convmatch.cli import (SETTINGS, RunConfig, build_run_config, load_config_file, main,
                            make_parser)
-from convmatch.corpus import load_dataset, save_dataset
+from convmatch.corpus import DialogExample, load_dataset, save_dataset
 from convmatch.errors import ConfigError
 from convmatch import nn
-from convmatch.model import ConvLayerConfig, ModelConfig, load_checkpoint, save_checkpoint
-from convmatch.text import Tokenizer, Vocabulary, build_vocab, load_vocab, save_vocab
+from convmatch.model import (ConvLayerConfig, ModelConfig, ModelParams, load_checkpoint,
+                             prepare_example, rank_prepared, save_checkpoint)
+from convmatch.text import (Tokenizer, Vocabulary, build_vocab, load_vocab, provenance,
+                            save_vocab)
 from convmatch.training import TrainConfig
 
 
@@ -357,6 +359,38 @@ class TestTrainRankEval:
         end_to_end = capsys.readouterr().out
         assert from_file == end_to_end
 
+    def test_rank_without_current_turn_feeds_the_library_turns(self, tmp_path):
+        # a checkpoint without the current turn, five turns of words of their
+        # own and c = 2: rank feeds the turns prepare_example takes from the
+        # whole dialog
+        rng = np.random.default_rng(8)
+        dialogs = [DialogExample(
+            dialog_id=f"d{n}",
+            context=[[f"u{n}t{t}w{w}" for w in range(3)] for t in range(5)],
+            candidates=[([f"u{n}t{int(rng.integers(5))}w{w}" for w in range(3)], int(k == 0))
+                        for k in range(3)]) for n in range(3)]
+        test_file = tmp_path / "test.tsv"
+        save_dataset(dialogs, test_file)
+        examples = load_dataset(test_file, Tokenizer(), max_context_turns=5)
+        vocab = build_vocab([turn for ex in examples for turn in ex.context], 1)
+        cfg = ModelConfig(l_u=3, l_r=3, c=2, embed_dim=3, gru_hidden=2, mlp_hidden=3,
+                          conv=ConvLayerConfig(kernel_shape=(2, 2), kernel_count=2,
+                                               pool_shape=(2, 2)),
+                          dropout=0.0, include_current_turn=False)
+        params = ModelParams.init(cfg, len(vocab), seed=3)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, ckpt, provenance=provenance(Tokenizer(), vocab))
+        save_vocab(vocab, str(ckpt) + ".vocab.tsv")
+        ranking = tmp_path / "ranking.tsv"
+        assert main(["rank", "--test-file", str(test_file), "--checkpoint", str(ckpt),
+                     "--output", str(ranking)]) == 0
+        written = [(row[0], int(row[1]), float(row[2])) for row in
+                   (line.split("\t") for line in ranking.read_text("utf-8").splitlines())]
+        expected = [(ex.dialog_id, cand_idx, score) for ex in examples
+                    for cand_idx, score in rank_prepared(prepare_example(ex, vocab, cfg),
+                                                         params, cfg)]
+        assert written == expected
+
     def test_eval_oracle_ranking_file(self, tmp_path, capsys):
         path = tmp_path / "oracle.tsv"
         with open(path, "w", encoding="utf-8") as fh:
@@ -453,6 +487,15 @@ class TestExitCodes:
         tmp_path, paths = workspace
         before = sorted(tmp_path.iterdir())
         assert main(["train", *_model_flags(tmp_path, paths, extra=("--seed", "-1"))]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--margin", "nan"),
+                                             ("--l2", "inf"), ("--adam-eps", "inf")])
+    def test_train_non_finite_setting_is_one(self, workspace, capsys, flag, value):
+        tmp_path, paths = workspace
+        before = sorted(tmp_path.iterdir())
+        assert main(["train", *_model_flags(tmp_path, paths, extra=(flag, value))]) == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert sorted(tmp_path.iterdir()) == before
 

@@ -1,5 +1,6 @@
 """Kernel tests: forward oracles, gradient checks, edge cases."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -84,6 +85,74 @@ class TestActivations:
                             rng.standard_normal((4, 4))), requires_grad=True)
         x.values[np.abs(x.values) < 1e-3] = 0.5  # kink exclusion
         assert nn.grad_check(nn.relu, [x], projection_rng=rng) < 1e-6
+
+
+_UNARY = ("sigmoid", "tanh_op", "relu", "sqrt_op", "square")
+_BINARY = ("add", "sub", "mul", "divide")
+# a Python scalar stands for an operand that is not a Tensor
+_BROADCASTS = [((3, 4), (4,)), ((4,), (3, 4)), ((3, 1), (1, 4)), (None, (3, 4)), ((3, 4), None)]
+
+
+def _elementwise_input(rng, shape, positive: bool):
+    """Values in +-[0.5, 2): away from relu's kink, and from zero where
+    positive asks for a sqrt input or a denominator. None gives 1.5."""
+    if shape is None:
+        return 1.5
+    magnitude = rng.uniform(0.5, 2.0, shape)
+    sign = 1.0 if positive else rng.choice([-1.0, 1.0], shape)
+    return Tensor(magnitude * sign, requires_grad=True)
+
+
+def _elementwise_cases():
+    cases = [pytest.param(name, ((3, 4),), id=name) for name in _UNARY]
+    cases += [pytest.param(name, shapes, id=f"{name}-{shapes[0]}-{shapes[1]}")
+              for name in _BINARY for shapes in _BROADCASTS]
+    return cases
+
+
+def _elementwise_inputs(name: str, shapes: tuple, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [_elementwise_input(rng, shape, positive=name == "sqrt_op" or
+                               (name == "divide" and i == 1))
+            for i, shape in enumerate(shapes)]
+
+
+class TestElementwise:
+    @pytest.mark.parametrize("name, shapes", _elementwise_cases())
+    def test_grad_check(self, name, shapes):
+        inputs = _elementwise_inputs(name, shapes, seed=5)
+        err = nn.grad_check(getattr(nn, name), inputs,
+                            projection_rng=np.random.default_rng(6))
+        assert err < 1e-6
+
+    # SHA-1 of the forward values, then of each input's gradient, on fixed
+    # inputs that broadcast on both sides: gradients must keep every bit
+    _DIGESTS = {
+        "add": "133521998eb2a743af8fbb50aeb2222887da50a8",
+        "sub": "a7796516b058b2b6417dfc42e181c170dd941d4d",
+        "mul": "2e6e653219432a8fd65131b4514e1e25b873bb1d",
+        "divide": "70505aa039a3bc1113047eb903df1e366790f5ab",
+        "sigmoid": "5d3e614bc363c6ebea0295eed4687b96df641a7e",
+        "tanh_op": "cf4f8b55989e5919258cf630ecc584f01b353794",
+        "relu": "58db15967dc264ba309ed5302c804d418c802d2f",
+        "sqrt_op": "c9542aa30bd6945c7118628a03f628e153dd5277",
+        "square": "59e6188163b6d6cca498ce27ae7fcc304159b22a",
+    }
+
+    @staticmethod
+    def _digest(name: str) -> str:
+        shapes = ((2, 3, 1), (3, 4)) if name in _BINARY else ((2, 3, 4),)
+        inputs = _elementwise_inputs(name, shapes, seed=11)
+        out = getattr(nn, name)(*inputs)
+        out.backward(np.random.default_rng(12).standard_normal(out.shape))
+        h = hashlib.sha1(out.values.tobytes())
+        for t in inputs:
+            h.update(t.grad.tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(_DIGESTS))
+    def test_digest_pinned(self, name):
+        assert self._digest(name) == self._DIGESTS[name]
 
 
 class TestGruStep:

@@ -1,5 +1,7 @@
 """Triple construction, loss, Adam and training-loop tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,13 @@ class TestTrain:
     @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("batch_size", 0),
                                               ("epochs", -1), ("patience", 0)])
     def test_config_rejects_bad_counts(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["margin", "l2", "learning_rate", "beta1", "beta2",
+                                       "adam_eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite_rates(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value}).validate()
 
