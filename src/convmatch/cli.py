@@ -239,20 +239,18 @@ def cmd_build_data(cfg: RunConfig) -> None:
 
 
 def _load_knowledge(cfg: RunConfig, tokenizer: text.Tokenizer) -> knowledge.KnowledgeSource:
-    """The index with the QA pairs it stores, and the retrieval settings, with
+    """The index, which stores the QA pairs, and the retrieval settings, with
     caches under cache_dir when that is set. An optional qa_file is hashed
     against the index, never parsed."""
     cfg.require_files("index_file")
     index = retrieval.load_index(cfg.index_file, _index_provenance(cfg, tokenizer))
-    docs, pairs_by_id = retrieval.stored_collection(index)
     expansion_cache = pairs_cache = None
     if cfg.cache_dir:
         os.makedirs(cfg.cache_dir, exist_ok=True)
         expansion_cache = knowledge.TsvCache(os.path.join(cfg.cache_dir, "expansions.tsv"))
         pairs_cache = knowledge.TsvCache(os.path.join(cfg.cache_dir, "qa_pairs.tsv"))
     return knowledge.KnowledgeSource(
-        index=index, docs=docs, pairs_by_id=pairs_by_id, prf_docs=cfg.prf_docs,
-        prf_terms=cfg.prf_terms, kd_pairs=cfg.kd_pairs,
+        index, prf_docs=cfg.prf_docs, prf_terms=cfg.prf_terms, kd_pairs=cfg.kd_pairs,
         ppmi_counting=cfg.ppmi_counting, k1=cfg.bm25_k1, b=cfg.bm25_b,
         expansion_cache=expansion_cache, pairs_cache=pairs_cache)
 
@@ -298,8 +296,22 @@ def cmd_train(cfg: RunConfig) -> None:
                           provenance=text.provenance(tokenizer, vocab))
     if source is not None:
         source.save_caches()
-    print(f"best validation MAP {result.best_valid_map:.4f} at epoch "
-          f"{result.best_epoch}; checkpoint -> {cfg.checkpoint}")
+    outcome = (f"best validation MAP {result.best_valid_map:.4f} at epoch {result.best_epoch}"
+               if result.log else "no epoch ran: the checkpoint holds the initial parameters")
+    print(f"{outcome}; checkpoint -> {cfg.checkpoint}")
+
+
+def _refuse_other_model_settings(given: model.ModelConfig, stored: model.ModelConfig) -> None:
+    """A model setting other than its default must equal the checkpoint's,
+    whose model is the one that ranks."""
+    for name, (holder, setting) in SETTINGS.items():
+        if holder in (model.ModelConfig, model.ConvLayerConfig):
+            value, trained, default = (
+                getattr(cfg.conv if holder is model.ConvLayerConfig else cfg, setting.name)
+                for cfg in (given, stored, model.ModelConfig()))
+            if value != default and value != trained:
+                raise ConfigError(f"setting {name} is {value!r}, but the checkpoint "
+                                  f"was trained with {trained!r}")
 
 
 def _rank_dataset(cfg: RunConfig) -> tuple[list, list]:
@@ -312,6 +324,7 @@ def _rank_dataset(cfg: RunConfig) -> tuple[list, list]:
     vocab = text.load_vocab(vocab_path)
     params, model_cfg = model.load_checkpoint(cfg.checkpoint, vocab_size=len(vocab),
                                               provenance=text.provenance(tokenizer, vocab))
+    _refuse_other_model_settings(cfg.model, model_cfg)
     dataset = corpus.load_dataset(cfg.test_file, tokenizer,
                                   max_context_turns=model_cfg.context_turns)
     source = None if model_cfg.variant == "dmn" else _load_knowledge(cfg, tokenizer)

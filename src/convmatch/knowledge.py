@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .fileio import write_rows
-from .retrieval import DEFAULT_B, DEFAULT_K1, InvertedIndex, search
+from .retrieval import DEFAULT_B, DEFAULT_K1, InvertedIndex, search, stored_collection
 from .text import PAD_TOKEN, UNK_TOKEN
 
 
@@ -179,24 +179,24 @@ class TsvCache:
 
 
 class KnowledgeSource:
-    """Bundles the external index, document store and retrieval settings.
+    """Retrieval settings over an index made by build_index or load_index.
 
-    The model pipeline calls expand() for feedback-expanded responses and
-    retrieve_pairs() for correspondence statistics; both are cached in
-    memory (and optionally on disk) keyed by response content, prefixed with
-    a fingerprint of the retrieval settings and the index, so a cache
-    written under other settings or another index is not reused.
+    Feedback documents and QA pairs come from the pair text the index
+    stores; an index without it is a ConfigError. The model pipeline calls
+    expand() for feedback-expanded responses and retrieve_pairs() for
+    correspondence statistics; both are cached in memory (and optionally on
+    disk) keyed by response content, prefixed with a fingerprint of the
+    retrieval settings and the index, so a cache written under other
+    settings or another index is not reused.
     """
 
-    def __init__(self, index: InvertedIndex, docs: Mapping[str, Sequence[str]] | None = None,
-                 pairs_by_id: Mapping[str, object] | None = None, prf_docs: int = 10,
-                 prf_terms: int = 10, kd_pairs: int = 10, ppmi_counting: str = "frequency",
+    def __init__(self, index: InvertedIndex, prf_docs: int = 10, prf_terms: int = 10,
+                 kd_pairs: int = 10, ppmi_counting: str = "frequency",
                  k1: float = DEFAULT_K1, b: float = DEFAULT_B,
                  expansion_cache: TsvCache | None = None,
                  pairs_cache: TsvCache | None = None):
         self.index = index
-        self.docs = docs
-        self.pairs_by_id = pairs_by_id
+        self.docs, self.pairs_by_id = stored_collection(index)
         self.prf_docs = prf_docs
         self.prf_terms = prf_terms
         self.kd_pairs = kd_pairs
@@ -210,8 +210,6 @@ class KnowledgeSource:
         self.fingerprint = content_hash([str(v) for v in settings])[:16]
 
     def expand(self, response: Sequence[str]) -> list[str]:
-        if self.docs is None:
-            raise ConfigError("knowledge source has no document store for expansion")
         key = f"exp:{self.fingerprint}:{content_hash(response)}"
         cached = self.expansion_cache.get(key)
         if cached is None:
@@ -223,8 +221,6 @@ class KnowledgeSource:
         return list(response) + list(cached)
 
     def retrieve_pairs(self, response: Sequence[str]) -> list:
-        if self.pairs_by_id is None:
-            raise ConfigError("knowledge source has no QA pairs for retrieval")
         key = f"qa:{self.fingerprint}:{content_hash(response)}"
         cached = self.pairs_cache.get(key)
         if cached is None:

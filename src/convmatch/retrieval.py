@@ -3,10 +3,10 @@
 Also hosts the two lexical baseline rankers for candidate responses: plain
 BM25 and BM25 over feedback-expanded responses.
 
-Operations that need the document text (negative sampling, feedback
-expansion, QA pair retrieval) take an explicit id -> tokens mapping. An
-index built from QA pairs keeps their text, and stored_collection serves it
-from there; doc_store builds the same mapping from the pairs themselves.
+An index built from QA pairs keeps their text, and stored_collection serves
+it: a knowledge.KnowledgeSource reads its feedback documents and QA pairs
+from there. Negative sampling and expand_response take an id -> tokens
+mapping, such as doc_store's, and retrieve_qa_pairs an id -> pair mapping.
 """
 
 from __future__ import annotations
@@ -249,18 +249,15 @@ def search(index: InvertedIndex, query: Sequence[str], k: int,
     return ranked[:k]
 
 
-def bm25_rank_responses(example, expanded: bool = False,
-                        expansion_index: InvertedIndex | None = None,
-                        expansion_docs: Mapping[str, Sequence[str]] | None = None,
-                        prf_docs: int = 10, prf_terms: int = 10,
-                        k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> list[tuple[int, float]]:
+def bm25_rank_responses(example, knowledge=None, k1: float = DEFAULT_K1,
+                        b: float = DEFAULT_B) -> list[tuple[int, float]]:
     """Rank one example's candidates by BM25 with the context as the query.
 
     The candidate set itself is the collection (its size is the document
-    count), so statistics stay local to the example. With expanded=True each
-    candidate is first enriched with feedback terms drawn from
-    expansion_index / expansion_docs. Output is (candidate_index, score)
-    sorted by descending score, ties by candidate index.
+    count), so statistics stay local to the example. Given a
+    knowledge.KnowledgeSource, each candidate is first replaced by
+    knowledge.expand(candidate), expanded at the source's settings. Output is
+    (candidate_index, score) sorted by descending score, ties by candidate index.
     """
     if not example.candidates:
         raise DataError(f"dialog {example.dialog_id!r} has no candidates")
@@ -268,16 +265,8 @@ def bm25_rank_responses(example, expanded: bool = False,
     for utterance in example.context:
         query.extend(utterance)
     responses = [list(tokens) for tokens, _ in example.candidates]
-    if expanded:
-        from .knowledge import expand_response  # local import to avoid a cycle
-
-        if expansion_index is None or expansion_docs is None:
-            raise ConfigError("expanded ranking needs expansion_index and expansion_docs")
-        responses = [
-            expand_response(resp, expansion_index, expansion_docs,
-                            prf_docs=prf_docs, prf_terms=prf_terms, k1=k1, b=b)
-            for resp in responses
-        ]
+    if knowledge is not None:
+        responses = [knowledge.expand(resp) for resp in responses]
     micro = index_documents((f"c{i:06d}", resp) for i, resp in enumerate(responses))
     scores = _bm25(micro, query, k1, b)[0].tolist()
     return sorted(enumerate(scores), key=lambda item: (-item[1], item[0]))

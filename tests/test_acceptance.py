@@ -22,8 +22,8 @@ from convmatch.model import (ConvLayerConfig, ModelConfig, ModelParams,
                              load_checkpoint, prepare_example, rank_prepared,
                              save_checkpoint, score_batch, _stack_batch)
 from convmatch.nn import GRUParams, MLPParams, Tensor
-from convmatch.retrieval import (build_index, bm25_rank_responses, doc_store,
-                                 index_documents, load_index, save_index, search)
+from convmatch.retrieval import (build_index, bm25_rank_responses, index_documents,
+                                 load_index, save_index, search)
 from convmatch.training import TrainConfig, train
 
 
@@ -345,16 +345,12 @@ def test_criterion_5_overfit_check():
 def test_criterion_6_knowledge_benefit_direction():
     with criterion(6, "knowledge benefit direction"):
         examples, pairs = knowledge_benefit_data(120, n_neg=5, seed=31)
-        index = build_index(pairs, "answer")
-        docs = doc_store(pairs, "answer")
+        source = KnowledgeSource(build_index(pairs, "answer"), prf_docs=5, prf_terms=2)
 
         def lexical_ranker(expanded):
             groups = []
             for ex in examples:
-                order = bm25_rank_responses(ex, expanded=expanded,
-                                            expansion_index=index,
-                                            expansion_docs=docs,
-                                            prf_docs=5, prf_terms=2)
+                order = bm25_rank_responses(ex, source if expanded else None)
                 groups.append(RankedLabels(
                     labels=[ex.candidates[i][1] for i, _ in order],
                     group_id=ex.dialog_id))
@@ -368,9 +364,6 @@ def test_criterion_6_knowledge_benefit_direction():
         train_set, valid_set = examples[:90], examples[90:]
         vocab = dataset_vocab(examples, extra_streams=[p.question for p in pairs]
                               + [p.answer for p in pairs])
-        source = KnowledgeSource(index=index, docs=docs,
-                                 pairs_by_id={p.id: p for p in pairs},
-                                 prf_docs=5, prf_terms=2)
         tcfg = TrainConfig(margin=1.0, learning_rate=0.01, batch_size=32,
                            epochs=6, seed=17, patience=10)
 
@@ -416,9 +409,7 @@ def test_criterion_7_ablation_shape_contract():
         vocab = dataset_vocab(train_set + valid_set,
                               extra_streams=[p.question for p in pairs]
                               + [p.answer for p in pairs])
-        source = KnowledgeSource(index=build_index(pairs, "answer"),
-                                 docs=doc_store(pairs, "answer"),
-                                 pairs_by_id={p.id: p for p in pairs},
+        source = KnowledgeSource(build_index(pairs, "answer"),
                                  prf_docs=3, prf_terms=2, kd_pairs=4)
         for channels, interaction in ABLATIONS:
             variant = "dmn-kd" if "m3" in channels else "dmn"

@@ -747,7 +747,8 @@ class TestPretrainedEmbeddings:
 
 
 class TestCheckpointProvenance:
-    """rank/eval refuse a tokenizer or vocabulary other than the one trained with."""
+    """rank/eval refuse a tokenizer, vocabulary or model setting other than
+    the one trained with."""
 
     def _train(self, workspace):
         tmp_path, paths = workspace
@@ -779,6 +780,54 @@ class TestCheckpointProvenance:
         params, cfg = load_checkpoint(ckpt)
         save_checkpoint(params, cfg, ckpt)  # no provenance, as older checkpoints
         assert main([*rank_flags, "--lowercase", "false"]) == 0
+
+    @pytest.mark.parametrize("command", ["rank", "eval"])
+    @pytest.mark.parametrize("setting, value, message", [
+        ("c", "7", "c is 7, but the checkpoint was trained with 2"),
+        ("include_current_turn", "false",
+         "include_current_turn is False, but the checkpoint was trained with True"),
+        ("l_u", "30", "l_u is 30, but the checkpoint was trained with 6"),
+        ("conv_kernel_shape", "4,4",
+         "conv_kernel_shape is (4, 4), but the checkpoint was trained with (2, 2)")],
+        ids=["c", "include_current_turn", "l_u", "conv_kernel_shape"])
+    @pytest.mark.parametrize("given_as", ["flag", "config key"])
+    def test_contradicting_model_setting_is_exit_one(self, workspace, capsys, command,
+                                                     setting, value, message, given_as):
+        tmp_path = workspace[0]
+        _, rank_flags = self._train(workspace)
+        output = tmp_path / "out.tsv"
+        if given_as == "flag":
+            extra = ["--" + setting.replace("_", "-"), value]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{setting} = {value}\n", encoding="utf-8")
+            extra = ["--config", str(tmp_path / "run.cfg")]
+        capsys.readouterr()
+        assert main([command, *rank_flags[1:-2], "--output", str(output), *extra]) == 1
+        assert capsys.readouterr().err == f"config error: setting {message}\n"
+        assert not output.exists()
+
+    def test_config_matching_the_checkpoint_ranks_the_same(self, workspace):
+        tmp_path = workspace[0]
+        _, rank_flags = self._train(workspace)
+        assert main(rank_flags) == 0
+        plain = (tmp_path / "ranking.tsv").read_bytes()
+        config = tmp_path / "model.cfg"  # the model settings of _model_flags
+        config.write_text("variant = dmn\nl_u = 6\nl_r = 6\nc = 2\nembed_dim = 4\n"
+                          "gru_hidden = 2\nconv_kernels = 2\nconv_kernel_shape = 2,2\n"
+                          "pool_shape = 2,2\nmlp_hidden = 4\ndropout = 0.0\n"
+                          "include_current_turn = true\n", encoding="utf-8")
+        (tmp_path / "ranking.tsv").unlink()
+        assert main([*rank_flags, "--config", str(config)]) == 0
+        assert (tmp_path / "ranking.tsv").read_bytes() == plain
+
+    def test_train_without_epochs_reports_no_validation(self, workspace, capsys):
+        tmp_path, paths = workspace
+        capsys.readouterr()
+        assert main(["train", *_model_flags(tmp_path, paths, extra=("--epochs", "0"))]) == 0
+        out = capsys.readouterr().out
+        assert "best validation" not in out
+        assert (f"no epoch ran: the checkpoint holds the initial parameters; "
+                f"checkpoint -> {tmp_path / 'model.ckpt'}") in out
 
 
 class TestMalformedCheckpointConfig:

@@ -220,9 +220,7 @@ class TestRetrieveQaPairs:
 class TestKnowledgeSource:
     def test_expansion_cached(self, rng):
         pairs = random_qa_pairs(rng, 20)
-        source = KnowledgeSource(index=build_index(pairs, "answer"),
-                                 docs=doc_store(pairs, "answer"),
-                                 prf_docs=3, prf_terms=4)
+        source = KnowledgeSource(build_index(pairs, "answer"), prf_docs=3, prf_terms=4)
         first = source.expand(["w1", "w2"])
         second = source.expand(["w1", "w2"])
         assert first == second
@@ -230,28 +228,25 @@ class TestKnowledgeSource:
 
     def test_pairs_cache_round_trip(self, rng, tmp_path):
         pairs = random_qa_pairs(rng, 20)
-        by_id = {p.id: p for p in pairs}
         path = tmp_path / "cache.tsv"
-        source = KnowledgeSource(index=build_index(pairs, "answer"),
-                                 pairs_by_id=by_id, kd_pairs=5,
+        source = KnowledgeSource(build_index(pairs, "answer"), kd_pairs=5,
                                  pairs_cache=TsvCache(path))
         got = source.retrieve_pairs(["w3"])
         source.save_caches()
-        reloaded = KnowledgeSource(index=build_index(pairs, "answer"),
-                                   pairs_by_id=by_id, kd_pairs=5,
+        reloaded = KnowledgeSource(build_index(pairs, "answer"), kd_pairs=5,
                                    pairs_cache=TsvCache(path))
         assert reloaded.retrieve_pairs(["w3"]) == got
 
     def test_expansion_cache_not_reused_across_settings(self, rng, tmp_path):
         pairs = random_qa_pairs(rng, 20)
-        index, docs = build_index(pairs, "answer"), doc_store(pairs, "answer")
+        index = build_index(pairs, "answer")
         path = tmp_path / "expansions.tsv"
-        one_term = KnowledgeSource(index=index, docs=docs, prf_docs=3, prf_terms=1,
+        one_term = KnowledgeSource(index, prf_docs=3, prf_terms=1,
                                    expansion_cache=TsvCache(path))
         assert len(one_term.expand(["w1", "w2"])) == 3
         one_term.save_caches()
-        fresh = KnowledgeSource(index=index, docs=docs, prf_docs=3, prf_terms=5)
-        reused = KnowledgeSource(index=index, docs=docs, prf_docs=3, prf_terms=5,
+        fresh = KnowledgeSource(index, prf_docs=3, prf_terms=5)
+        reused = KnowledgeSource(index, prf_docs=3, prf_terms=5,
                                  expansion_cache=TsvCache(path))
         assert reused.expand(["w1", "w2"]) == fresh.expand(["w1", "w2"])
         assert len(reused.expand(["w1", "w2"])) == 7
@@ -260,28 +255,24 @@ class TestKnowledgeSource:
         pairs = random_qa_pairs(rng, 20)
         by_id = {p.id: p for p in pairs}
         path = tmp_path / "qa_pairs.tsv"
-        small = KnowledgeSource(index=build_index(pairs[:10], "answer"),
-                                pairs_by_id=by_id, pairs_cache=TsvCache(path))
+        small = KnowledgeSource(build_index(pairs[:10], "answer"), pairs_cache=TsvCache(path))
         small.retrieve_pairs(["w3"])
         small.save_caches()
-        full = KnowledgeSource(index=build_index(pairs, "answer"),
-                               pairs_by_id=by_id, pairs_cache=TsvCache(path))
+        full = KnowledgeSource(build_index(pairs, "answer"), pairs_cache=TsvCache(path))
         assert full.fingerprint != small.fingerprint
         assert (full.retrieve_pairs(["w3"])
                 == retrieve_qa_pairs(["w3"], build_index(pairs, "answer"), by_id))
 
     def test_cache_not_reused_across_indexes_of_equal_size(self, tmp_path):
         # equal document count and lengths, different postings
-        docs_a = {"d0": ["x", "y"], "d1": ["z", "z"]}
-        docs_b = {"d0": ["x", "z"], "d1": ["y", "z"]}
-        index_a = index_documents(docs_a.items(), "answer")
-        index_b = index_documents(docs_b.items(), "answer")
+        pairs_a = [QAPair("d0", ["q"], ["x", "y"]), QAPair("d1", ["q"], ["z", "z"])]
+        pairs_b = [QAPair("d0", ["q"], ["x", "z"]), QAPair("d1", ["q"], ["y", "z"])]
         path = tmp_path / "expansions.tsv"
-        first = KnowledgeSource(index=index_a, docs=docs_a, prf_docs=1, prf_terms=1,
+        first = KnowledgeSource(build_index(pairs_a, "answer"), prf_docs=1, prf_terms=1,
                                 expansion_cache=TsvCache(path))
         assert first.expand(["y"]) == ["y", "x"]
         first.save_caches()
-        second = KnowledgeSource(index=index_b, docs=docs_b, prf_docs=1, prf_terms=1,
+        second = KnowledgeSource(build_index(pairs_b, "answer"), prf_docs=1, prf_terms=1,
                                  expansion_cache=TsvCache(path))
         assert second.fingerprint != first.fingerprint
         assert second.expand(["y"]) == ["y", "y"]
@@ -290,13 +281,18 @@ class TestKnowledgeSource:
         pairs = random_qa_pairs(rng, 20)
         index = build_index(pairs, "answer")
         path = tmp_path / "qa_pairs.tsv"
-        source = KnowledgeSource(index=index, pairs_by_id={p.id: p for p in pairs},
-                                 pairs_cache=TsvCache(path))
+        source = KnowledgeSource(index, pairs_cache=TsvCache(path))
         got = source.retrieve_pairs(["w3"])
         assert got
         source.save_caches()
-        shrunk = {p.id: p for p in pairs if p.id != got[0].id}
-        stale = KnowledgeSource(index=index, pairs_by_id=shrunk,
-                                pairs_cache=TsvCache(path))
-        with pytest.raises(DataError, match=got[0].id):
+        key, *ids = path.read_text(encoding="utf-8").rstrip("\n").split("\t")
+        assert ids == [pair.id for pair in got]
+        path.write_text("\t".join([key, "no-such-pair", *ids[1:]]) + "\n", encoding="utf-8")
+        stale = KnowledgeSource(index, pairs_cache=TsvCache(path))
+        with pytest.raises(DataError, match="no-such-pair"):
             stale.retrieve_pairs(["w3"])
+
+    def test_index_without_pair_text_is_config_error(self):
+        index = index_documents([("d0", ["a", "b"]), ("d1", ["b"])], "answer")
+        with pytest.raises(ConfigError, match="stores no QA pair text"):
+            KnowledgeSource(index)

@@ -18,7 +18,7 @@ from convmatch.model import (ConvLayerConfig, ModelConfig, ModelParams, Prepared
                              load_word_embeddings, param_shapes, prepare_example, rank,
                              rank_prepared, ranked, save_checkpoint, score_batch,
                              score_examples, score_prepared)
-from convmatch.retrieval import build_index, doc_store
+from convmatch.retrieval import build_index
 from convmatch.text import PAD_ID, PAD_TOKEN, UNK_TOKEN, build_vocab, encode
 from convmatch.training import hinge_loss
 
@@ -375,9 +375,7 @@ class TestKnowledgeVariants:
     def _kd_setup(self):
         rng = np.random.default_rng(3)
         pairs = random_qa_pairs(rng, 12)
-        source = KnowledgeSource(index=build_index(pairs, "answer"),
-                                 docs=doc_store(pairs, "answer"),
-                                 pairs_by_id={p.id: p for p in pairs},
+        source = KnowledgeSource(build_index(pairs, "answer"),
                                  prf_docs=3, prf_terms=2, kd_pairs=4)
         example = DialogExample(
             dialog_id="kd", context=[["w1", "w2"], ["w3"]],
@@ -397,8 +395,7 @@ class TestKnowledgeVariants:
     def test_m3_matches_per_slot_ppmi(self, counting):
         rng = np.random.default_rng(5)
         pairs = random_qa_pairs(rng, 40, vocab_size=12)
-        source = KnowledgeSource(index=build_index(pairs, "answer"),
-                                 pairs_by_id={p.id: p for p in pairs}, kd_pairs=6,
+        source = KnowledgeSource(build_index(pairs, "answer"), kd_pairs=6,
                                  ppmi_counting=counting)
         # w9..w11 are UNK; the empty turn and the padded first slot are all PAD
         vocab = build_vocab([[f"w{i}" for i in range(9)]], 1)

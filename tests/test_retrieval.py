@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from synth import random_qa_pairs
 from convmatch.corpus import DialogExample, QAPair, load_qa_pairs
 from convmatch.errors import ConfigError, DataError
+from convmatch.knowledge import KnowledgeSource, expand_response
 from convmatch.retrieval import (bm25_rank_responses, bm25_score, build_index,
                                  doc_store, field_tokens, index_documents, load_index,
                                  save_index, search, stored_collection)
@@ -210,10 +212,23 @@ class TestRankResponses:
         assert [i for i, _ in order] == [0, 1, 2]
         assert all(score == 0.0 for _, score in order)
 
-    def test_expanded_requires_knowledge_inputs(self):
-        example = self._example([(["aa"], 1)])
-        with pytest.raises(ConfigError):
-            bm25_rank_responses(example, expanded=True)
+    def test_expanded_matches_hand_expanded_candidates(self, rng):
+        pairs = random_qa_pairs(rng, 30)
+        index = build_index(pairs, "answer")
+        source = KnowledgeSource(index, prf_docs=4, prf_terms=3, k1=1.5, b=0.5)
+        candidates = [([f"w{int(j)}" for j in rng.integers(0, 30, 3)], int(i == 0))
+                      for i in range(6)]
+        example = DialogExample(dialog_id="d0", context=[["w1", "w2"], ["w3"]],
+                                candidates=candidates)
+        expanded = [expand_response(tokens, index, doc_store(pairs, "answer"),
+                                    prf_docs=4, prf_terms=3, k1=1.5, b=0.5)
+                    for tokens, _ in candidates]
+        assert any(len(tokens) > 3 for tokens in expanded)
+        micro = index_documents((f"c{i:06d}", tokens) for i, tokens in enumerate(expanded))
+        rescored = sorted(((i, bm25_score(micro, ["w1", "w2", "w3"], f"c{i:06d}"))
+                           for i in range(len(candidates))),
+                          key=lambda item: (-item[1], item[0]))
+        assert bm25_rank_responses(example, source) == rescored
 
 
 class TestIndexSerialization:
