@@ -17,7 +17,7 @@ import numpy as np
 
 from . import corpus, knowledge, metrics, model, retrieval, text, training
 from .errors import ConfigError, DataError, NumericError
-from .fileio import write_rows
+from .fileio import read_lines, write_rows
 
 
 def _parse_bool(raw: str) -> bool:
@@ -77,6 +77,8 @@ class RunConfig:
     # Model and training settings, validated by the commands that train.
     model: model.ModelConfig = field(default_factory=model.ModelConfig)
     train: training.TrainConfig = field(default_factory=training.TrainConfig)
+    # Names of the settings a flag or the config file gave; not a setting itself.
+    given = frozenset()
 
     def tokenizer(self) -> text.Tokenizer:
         stopwords = frozenset()
@@ -130,22 +132,20 @@ def load_config_file(path) -> dict:
     values: dict = {}
     if not os.path.exists(path):
         raise ConfigError(f"config path does not exist: {path}")
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, "
-                                  f"got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in SETTINGS:
-                raise ConfigError(f"{path}:{line_no}: unknown setting {key!r}")
-            try:
-                values[key] = _setting_parser(key)(raw.strip())
-            except ValueError as exc:  # int()/float() failures and ConfigError alike
-                raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
+    for line_no, line in read_lines(path):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key not in SETTINGS:
+            raise ConfigError(f"{path}:{line_no}: unknown setting {key!r}")
+        try:
+            values[key] = _setting_parser(key)(raw.strip())
+        except ValueError as exc:  # int()/float() failures and ConfigError alike
+            raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
     return values
 
 
@@ -159,6 +159,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if flag_value is not None:
             values[name] = flag_value
     cfg = RunConfig()
+    cfg.given = frozenset(values)
     holders = {RunConfig: cfg, model.ModelConfig: cfg.model,
                model.ConvLayerConfig: cfg.model.conv, training.TrainConfig: cfg.train}
     for name, value in values.items():
@@ -268,18 +269,15 @@ def cmd_train(cfg: RunConfig) -> None:
     valid_set = corpus.load_dataset(cfg.valid_file, tokenizer,
                                     max_context_turns=model_cfg.context_turns)
 
-    if cfg.vocab_file and os.path.exists(cfg.vocab_file):
-        vocab = text.load_vocab(cfg.vocab_file)
-    else:
+    built_vocab = not (cfg.vocab_file and os.path.exists(cfg.vocab_file))
+    if built_vocab:
         streams = []
         for example in train_set:
             streams.extend(example.context)
             streams.extend(tokens for tokens, _ in example.candidates)
         vocab = text.build_vocab(streams, cfg.min_count)
-        vocab_path = cfg.vocab_path()
-        text.save_vocab(vocab, vocab_path)
-        print(f"built vocabulary of {len(vocab)} tokens -> {vocab_path}")
-
+    else:
+        vocab = text.load_vocab(cfg.vocab_file)
     source = None if model_cfg.variant == "dmn" else _load_knowledge(cfg, tokenizer)
     init_params = None
     if cfg.embeddings_file:
@@ -292,6 +290,9 @@ def cmd_train(cfg: RunConfig) -> None:
     result = training.train(train_set, valid_set, vocab, model_cfg, train_cfg,
                             knowledge=source, init_params=init_params,
                             log_path=cfg.log_file or None)
+    if built_vocab:  # written with the checkpoint, so a failed run leaves neither
+        text.save_vocab(vocab, cfg.vocab_path())
+        print(f"built vocabulary of {len(vocab)} tokens -> {cfg.vocab_path()}")
     model.save_checkpoint(result.params, model_cfg, cfg.checkpoint,
                           provenance=text.provenance(tokenizer, vocab))
     if source is not None:
@@ -301,15 +302,15 @@ def cmd_train(cfg: RunConfig) -> None:
     print(f"{outcome}; checkpoint -> {cfg.checkpoint}")
 
 
-def _refuse_other_model_settings(given: model.ModelConfig, stored: model.ModelConfig) -> None:
-    """A model setting other than its default must equal the checkpoint's,
-    whose model is the one that ranks."""
+def _refuse_other_model_settings(cfg: RunConfig, stored: model.ModelConfig) -> None:
+    """A model setting given as a flag or config key must equal the
+    checkpoint's, whose model is the one that ranks."""
     for name, (holder, setting) in SETTINGS.items():
-        if holder in (model.ModelConfig, model.ConvLayerConfig):
-            value, trained, default = (
-                getattr(cfg.conv if holder is model.ConvLayerConfig else cfg, setting.name)
-                for cfg in (given, stored, model.ModelConfig()))
-            if value != default and value != trained:
+        if name in cfg.given and holder in (model.ModelConfig, model.ConvLayerConfig):
+            value, trained = (
+                getattr(config.conv if holder is model.ConvLayerConfig else config, setting.name)
+                for config in (cfg.model, stored))
+            if value != trained:
                 raise ConfigError(f"setting {name} is {value!r}, but the checkpoint "
                                   f"was trained with {trained!r}")
 
@@ -324,7 +325,7 @@ def _rank_dataset(cfg: RunConfig) -> tuple[list, list]:
     vocab = text.load_vocab(vocab_path)
     params, model_cfg = model.load_checkpoint(cfg.checkpoint, vocab_size=len(vocab),
                                               provenance=text.provenance(tokenizer, vocab))
-    _refuse_other_model_settings(cfg.model, model_cfg)
+    _refuse_other_model_settings(cfg, model_cfg)
     dataset = corpus.load_dataset(cfg.test_file, tokenizer,
                                   max_context_turns=model_cfg.context_turns)
     source = None if model_cfg.variant == "dmn" else _load_knowledge(cfg, tokenizer)

@@ -12,12 +12,12 @@ DialogExample. External QA collections are TSV lines id<TAB>question<TAB>answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_rows
 from .retrieval import InvertedIndex, search
 from .text import Tokenizer, tokenize
 
@@ -55,32 +55,6 @@ class QAPair:
     answer: list
 
 
-class DatasetLine(NamedTuple):
-    """Parsed dataset fragment: one candidate with its raw context key."""
-
-    label: int
-    context_raw: str
-    context_utterances: list
-    response_raw: str
-
-
-def parse_dataset_line(line: str, line_no: int | None = None) -> DatasetLine:
-    """Parse one label<TAB>context<TAB>response line.
-
-    Raises ParseError (with the line number when given) on a wrong field
-    count or a non-binary label.
-    """
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != 3:
-        raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}", line_no)
-    label_raw, context_raw, response_raw = parts
-    if label_raw not in ("0", "1"):
-        raise ParseError(f"non-binary label {label_raw!r}", line_no)
-    utterances = [u.strip() for u in context_raw.split(TURN_DELIMITER)]
-    utterances = [u for u in utterances if u] or [""]
-    return DatasetLine(int(label_raw), context_raw, utterances, response_raw)
-
-
 def window_context(utterances: Sequence, c: int) -> list:
     """Last min(len, c) utterances, order preserved."""
     if c < 1:
@@ -94,6 +68,7 @@ def load_dataset(path, tokenizer: Tokenizer = Tokenizer(),
 
     Consecutive lines sharing an identical raw context string merge into
     one example; contexts are windowed to the last max_context_turns turns.
+    A wrong field count or a non-binary label is a ParseError naming the line.
     """
     examples: list[DialogExample] = []
     current_key: str | None = None
@@ -109,17 +84,16 @@ def load_dataset(path, tokenizer: Tokenizer = Tokenizer(),
             candidates=list(current_candidates),
         ))
 
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parsed = parse_dataset_line(line, line_no)
-            if parsed.context_raw != current_key:
-                flush()
-                current_key = parsed.context_raw
-                current_context = [tokenize(u, tokenizer) for u in parsed.context_utterances]
-                current_candidates = []
-            current_candidates.append((tokenize(parsed.response_raw, tokenizer), parsed.label))
+    for line_no, (label, context_raw, response_raw) in read_rows(path, 3):
+        if label not in ("0", "1"):
+            raise ParseError(f"non-binary label {label!r}", line_no)
+        if context_raw != current_key:
+            flush()
+            current_key = context_raw
+            utterances = [u.strip() for u in context_raw.split(TURN_DELIMITER)]
+            current_context = [tokenize(u, tokenizer) for u in utterances if u] or [[]]
+            current_candidates = []
+        current_candidates.append((tokenize(response_raw, tokenizer), int(label)))
     flush()
     return examples
 
@@ -141,20 +115,13 @@ def load_qa_pairs(path, tokenizer: Tokenizer = Tokenizer()) -> tuple[list[QAPair
     """
     pairs: list[QAPair] = []
     dropped = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}", line_no)
-            pair_id, question_raw, answer_raw = parts
-            question = tokenize(question_raw, tokenizer)
-            answer = tokenize(answer_raw, tokenizer)
-            if not question or not answer:
-                dropped += 1
-                continue
-            pairs.append(QAPair(id=pair_id, question=question, answer=answer))
+    for _, (pair_id, question_raw, answer_raw) in read_rows(path, 3):
+        question = tokenize(question_raw, tokenizer)
+        answer = tokenize(answer_raw, tokenizer)
+        if not question or not answer:
+            dropped += 1
+            continue
+        pairs.append(QAPair(id=pair_id, question=question, answer=answer))
     return pairs, dropped
 
 

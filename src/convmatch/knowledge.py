@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fileio import write_rows
+from .fileio import read_lines, write_rows
 from .retrieval import DEFAULT_B, DEFAULT_K1, InvertedIndex, search, stored_collection
 from .text import PAD_TOKEN, UNK_TOKEN
 
@@ -159,11 +159,10 @@ class TsvCache:
         self.entries: dict = {}
         if path is not None:
             try:
-                with open(path, encoding="utf-8") as fh:
-                    for line in fh:
-                        parts = line.rstrip("\n").split("\t")
-                        if parts and parts[0]:
-                            self.entries[parts[0]] = parts[1:]
+                for _, line in read_lines(path):
+                    parts = line.split("\t")
+                    if parts[0]:
+                        self.entries[parts[0]] = parts[1:]
             except FileNotFoundError:
                 pass
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DataError, ParseError
-from .fileio import write_rows
+from .fileio import read_rows, write_rows
 
 RECALL_CUTOFFS = (1, 2, 5)
 
@@ -96,9 +96,8 @@ class MetricsReport:
 
 
 def evaluate_rankings(groups: Iterable[RankedLabels],
-                      cutoffs: Sequence[int] = RECALL_CUTOFFS,
                       expected_group_ids: Iterable[str] | None = None) -> MetricsReport:
-    """Aggregate metrics over ranked groups.
+    """Aggregate MAP, MRR and recall at RECALL_CUTOFFS over ranked groups.
 
     With expected_group_ids given, every listed group must be present,
     otherwise a DataError names the missing ones. Groups without a positive
@@ -112,7 +111,7 @@ def evaluate_rankings(groups: Iterable[RankedLabels],
             raise DataError(f"rankings missing for groups: {', '.join(missing)}")
     ap_values: list[float] = []
     rr_values: list[float] = []
-    recall_values: dict = {k: [] for k in cutoffs}
+    recall_values: dict = {k: [] for k in RECALL_CUTOFFS}
     skipped = 0
     for group in groups:
         if not group.has_positive:
@@ -120,7 +119,7 @@ def evaluate_rankings(groups: Iterable[RankedLabels],
             continue
         ap_values.append(average_precision(group.labels))
         rr_values.append(reciprocal_rank(group.labels))
-        for k in cutoffs:
+        for k in RECALL_CUTOFFS:
             recall_values[k].append(recall_at_k(group.labels, k))
     if not ap_values:
         raise DataError("no group with a positive label to evaluate")
@@ -141,24 +140,16 @@ def read_ranking_file(path) -> list[RankedLabels]:
     score is a ParseError: it would make the order depend on row order.
     """
     rows_by_group: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"expected group_id<TAB>score<TAB>label, got "
-                                 f"{line.rstrip()!r}", line_no)
-            group_id, score_raw, label_raw = parts
-            try:
-                score = float(score_raw)
-            except ValueError:
-                raise ParseError(f"bad score {score_raw!r}", line_no) from None
-            if math.isnan(score):
-                raise ParseError(f"NaN score {score_raw!r}", line_no)
-            if label_raw not in ("0", "1"):
-                raise ParseError(f"non-binary label {label_raw!r}", line_no)
-            rows_by_group.setdefault(group_id, []).append((score, int(label_raw)))
+    for line_no, (group_id, score_raw, label_raw) in read_rows(path, 3):
+        try:
+            score = float(score_raw)
+        except ValueError:
+            raise ParseError(f"bad score {score_raw!r}", line_no) from None
+        if math.isnan(score):
+            raise ParseError(f"NaN score {score_raw!r}", line_no)
+        if label_raw not in ("0", "1"):
+            raise ParseError(f"non-binary label {label_raw!r}", line_no)
+        rows_by_group.setdefault(group_id, []).append((score, int(label_raw)))
     groups = []
     for group_id, rows in rows_by_group.items():
         ordered = sorted(rows, key=lambda row: -row[0])  # stable: ties keep file order

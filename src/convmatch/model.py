@@ -18,6 +18,7 @@ import numpy as np
 from . import nn
 from .corpus import DialogExample, window_context
 from .errors import ConfigError, DataError, ParseError
+from .fileio import read_lines
 from .knowledge import KnowledgeSource, ppmi_matrix
 from .nn import GRUParams, MLPParams, Tensor
 from .text import PAD_ID, Vocabulary, encode
@@ -261,15 +262,14 @@ def load_word_embeddings(path, vocab: Vocabulary, dim: int,
     """
     rng = np.random.default_rng([seed, 0])
     table = rng.uniform(-scale, scale, size=(len(vocab), dim))
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1 or parts[0] not in vocab:
-                continue
-            try:
-                table[vocab.token_to_id[parts[0]]] = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise ParseError(f"embedding of {parts[0]!r}: {exc}", line_no) from None
+    for line_no, line in read_lines(path):
+        parts = line.split(" ")
+        if len(parts) != dim + 1 or parts[0] not in vocab:
+            continue
+        try:
+            table[vocab.token_to_id[parts[0]]] = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise ParseError(f"embedding of {parts[0]!r}: {exc}", line_no) from None
     return table
 
 

@@ -277,10 +277,9 @@ def sum_op(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out, (a,), bw)
 
 
-def mean_op(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean_op(a) -> Tensor:
     a = _tensor(a)
-    count = a.values.size if axis is None else a.values.shape[axis]
-    return mul(sum_op(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(sum_op(a), 1.0 / a.values.size)
 
 
 def clamp_min(a, floor: float) -> Tensor:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 
 PAD_ID = 0
 UNK_ID = 1
@@ -57,13 +57,7 @@ def tokenize(raw: str, cfg: Tokenizer = Tokenizer()) -> list[str]:
 
 def load_stopwords(path) -> frozenset:
     """Read a stopword file: UTF-8, one token per line, blank lines ignored."""
-    words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word:
-                words.add(word)
-    return frozenset(words)
+    return frozenset(line.strip() for _, line in read_lines(path) if line.strip())
 
 
 class Vocabulary:
@@ -141,26 +135,24 @@ def load_vocab(path) -> Vocabulary:
     the PAD and UNK lines are ParseErrors naming the path and the line.
     """
     tokens: dict[str, int] = {}  # token -> id, in id order
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"expected token<TAB>id, got {line!r} in {path}", line_no)
-            token, idx = parts
-            try:
-                position = int(idx)
-            except ValueError:
-                raise ParseError(f"id {idx!r} of token {token!r} is not an integer in {path}",
-                                 line_no) from None
-            if position != len(tokens):
-                raise ParseError(f"non-contiguous id {idx} for token {token!r} in {path}",
-                                 line_no)
-            if position < len(_RESERVED) and token != _RESERVED[position]:
-                raise ParseError(f"id {position} must be {_RESERVED[position]} in {path}", line_no)
-            if token in tokens:
-                raise ParseError(f"duplicate token {token!r} in {path}", line_no)
-            tokens[token] = position
+    for line_no, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"expected token<TAB>id, got {line!r} in {path}", line_no)
+        token, idx = parts
+        try:
+            position = int(idx)
+        except ValueError:
+            raise ParseError(f"id {idx!r} of token {token!r} is not an integer in {path}",
+                             line_no) from None
+        if position != len(tokens):
+            raise ParseError(f"non-contiguous id {idx} for token {token!r} in {path}",
+                             line_no)
+        if position < len(_RESERVED) and token != _RESERVED[position]:
+            raise ParseError(f"id {position} must be {_RESERVED[position]} in {path}", line_no)
+        if token in tokens:
+            raise ParseError(f"duplicate token {token!r} in {path}", line_no)
+        tokens[token] = position
     if len(tokens) < len(_RESERVED):
         raise ParseError(f"no {_RESERVED[len(tokens)]} line in {path}", len(tokens) + 1)
     return Vocabulary(list(tokens))

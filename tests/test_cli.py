@@ -784,12 +784,13 @@ class TestCheckpointProvenance:
     @pytest.mark.parametrize("command", ["rank", "eval"])
     @pytest.mark.parametrize("setting, value, message", [
         ("c", "7", "c is 7, but the checkpoint was trained with 2"),
+        ("c", "10", "c is 10, but the checkpoint was trained with 2"),
         ("include_current_turn", "false",
          "include_current_turn is False, but the checkpoint was trained with True"),
         ("l_u", "30", "l_u is 30, but the checkpoint was trained with 6"),
         ("conv_kernel_shape", "4,4",
          "conv_kernel_shape is (4, 4), but the checkpoint was trained with (2, 2)")],
-        ids=["c", "include_current_turn", "l_u", "conv_kernel_shape"])
+        ids=["c", "c_default", "include_current_turn", "l_u", "conv_kernel_shape"])
     @pytest.mark.parametrize("given_as", ["flag", "config key"])
     def test_contradicting_model_setting_is_exit_one(self, workspace, capsys, command,
                                                      setting, value, message, given_as):

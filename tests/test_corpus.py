@@ -4,36 +4,43 @@ import numpy as np
 import pytest
 
 from convmatch.corpus import (DialogExample, build_candidates, load_dataset,
-                              load_qa_pairs, parse_dataset_line, save_dataset,
-                              window_context)
+                              load_qa_pairs, save_dataset, window_context)
 from convmatch.errors import ConfigError, DataError, ParseError
 from convmatch.retrieval import index_documents
 from convmatch.text import Tokenizer
 
 
+def _load_lines(tmp_path, *lines):
+    path = tmp_path / "data.tsv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return load_dataset(path, Tokenizer())
+
+
 class TestParseDatasetLine:
-    def test_two_turn_context(self):
-        parsed = parse_dataset_line("1\thi __eot__ how are you\tfine thanks")
-        assert parsed.label == 1
-        assert parsed.context_utterances == ["hi", "how are you"]
-        assert parsed.response_raw == "fine thanks"
+    """load_dataset's reading of one label<TAB>context<TAB>response line."""
 
-    def test_single_turn(self):
-        parsed = parse_dataset_line("0\thello\tbye")
-        assert parsed.label == 0
-        assert parsed.context_utterances == ["hello"]
+    def test_two_turn_context(self, tmp_path):
+        [example] = _load_lines(tmp_path, "1\thi __eot__ how are you\tfine thanks")
+        assert example.labels == [1]
+        assert example.context == [["hi"], ["how", "are", "you"]]
+        assert example.candidates[0][0] == ["fine", "thanks"]
 
-    def test_non_binary_label(self):
-        with pytest.raises(ParseError, match="non-binary"):
-            parse_dataset_line("2\ta\tb", line_no=7)
+    def test_single_turn(self, tmp_path):
+        [example] = _load_lines(tmp_path, "0\thello\tbye")
+        assert example.labels == [0]
+        assert example.context == [["hello"]]
 
-    def test_line_number_in_error(self):
+    def test_non_binary_label(self, tmp_path):
+        with pytest.raises(ParseError, match="line 7: non-binary"):
+            _load_lines(tmp_path, *["1\ta\tb"] * 6, "2\ta\tb")
+
+    def test_line_number_in_error(self, tmp_path):
         with pytest.raises(ParseError, match="line 7"):
-            parse_dataset_line("1\tonly-two-fields", line_no=7)
+            _load_lines(tmp_path, *["1\ta\tb"] * 6, "1\tonly-two-fields")
 
-    def test_wrong_field_count(self):
+    def test_wrong_field_count(self, tmp_path):
         with pytest.raises(ParseError, match="3 tab-separated"):
-            parse_dataset_line("1\ta\tb\tc")
+            _load_lines(tmp_path, "1\ta\tb\tc")
 
 
 class TestWindowContext:
