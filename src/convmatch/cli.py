@@ -97,8 +97,7 @@ class RunConfig:
             value = getattr(self, name)
             if not value:
                 raise ConfigError(f"missing required setting {name!r}")
-            if not os.path.exists(value):
-                raise ConfigError(f"{name} path does not exist: {value}")
+            _require_file(name, value)
 
     def require_outputs(self, *names: str) -> None:
         for name in names:
@@ -127,11 +126,17 @@ def _setting_parser(name: str):
     return _PARSERS.get(SETTINGS[name][1].type, str)
 
 
+def _require_file(name: str, path) -> None:
+    """A missing path, or one that is not a regular file, is a ConfigError."""
+    if not os.path.isfile(path):
+        problem = "is not a file" if os.path.exists(path) else "does not exist"
+        raise ConfigError(f"{name} path {problem}: {path}")
+
+
 def load_config_file(path) -> dict:
     """Parse a key=value config file; '#' starts a comment, blanks ignored."""
     values: dict = {}
-    if not os.path.exists(path):
-        raise ConfigError(f"config path does not exist: {path}")
+    _require_file("config", path)
     for line_no, line in read_lines(path):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -277,6 +282,7 @@ def cmd_train(cfg: RunConfig) -> None:
             streams.extend(tokens for tokens, _ in example.candidates)
         vocab = text.build_vocab(streams, cfg.min_count)
     else:
+        cfg.require_files("vocab_file")
         vocab = text.load_vocab(cfg.vocab_file)
     source = None if model_cfg.variant == "dmn" else _load_knowledge(cfg, tokenizer)
     init_params = None
@@ -320,8 +326,7 @@ def _rank_dataset(cfg: RunConfig) -> tuple[list, list]:
     cfg.require_files("test_file", "checkpoint")
     tokenizer = cfg.tokenizer()
     vocab_path = cfg.vocab_path()
-    if not os.path.exists(vocab_path):
-        raise ConfigError(f"vocabulary file not found: {vocab_path}")
+    _require_file("vocab_file", vocab_path)
     vocab = text.load_vocab(vocab_path)
     params, model_cfg = model.load_checkpoint(cfg.checkpoint, vocab_size=len(vocab),
                                               provenance=text.provenance(tokenizer, vocab))

@@ -89,7 +89,7 @@ def retrieve_qa_pairs(response: Sequence[str], index: InvertedIndex,
 
 def _pairs_by_ids(pairs_by_id: Mapping[str, object], ids: Sequence[str]) -> list:
     pairs = []
-    for pair_id in ids:  # one lookup per id: a lazy store decodes on every lookup
+    for pair_id in ids:
         try:
             pairs.append(pairs_by_id[pair_id])
         except KeyError:
@@ -119,11 +119,12 @@ def ppmi_matrix(response_tokens: Sequence[str], utterance_tokens: Sequence[str],
         return {term: k for k, term in enumerate(live, start=1)}
 
     def counts(bags, cols):
-        grid = np.zeros((len(bags), len(cols) + 1), dtype=np.float64)
-        for row, bag in enumerate(bags):
-            for term in set(bag) if binary else bag:
-                grid[row, cols.get(term, 0)] += 1.0
-        return grid
+        # one (row, column) key per counted token; the counts are exact in float64
+        width = len(cols) + 1
+        keys = [row * width + cols.get(term, 0)
+                for row, bag in enumerate(bags) for term in (set(bag) if binary else bag)]
+        grid = np.bincount(np.array(keys, dtype=np.intp), minlength=len(bags) * width)
+        return grid.reshape(len(bags), width).astype(np.float64)
 
     r_cols, u_cols = columns(response_tokens), columns(utterance_tokens)
     answers = counts([pair.answer for pair in retrieved_pairs], r_cols)
@@ -143,7 +144,7 @@ def ppmi_matrix(response_tokens: Sequence[str], utterance_tokens: Sequence[str],
     values[i, j] = [max(math.log(r), 0.0) for r in ratios.tolist()]  # math.log, not SIMD np.log
     r_pos = np.array([r_cols.get(t, 0) for t in response_tokens], dtype=np.intp)
     u_pos = np.array([u_cols.get(t, 0) for t in utterance_tokens], dtype=np.intp)
-    return values[r_pos[:, None], u_pos[None, :]]
+    return values.take(r_pos, axis=0).take(u_pos, axis=1)
 
 
 def content_hash(tokens: Sequence[str]) -> str:

@@ -34,13 +34,17 @@ _CSR_ARRAYS = ("doc_lengths", "indptr", "post_docs", "post_tfs")
 
 
 class _LazyMap(Mapping):
-    """key -> decode(key, rows[key]), decoded on each lookup, keys in rows' order."""
+    """key -> decode(key, rows[key]), decoded on first lookup and kept, keys
+    in rows' order. Callers must not mutate what it returns."""
 
     def __init__(self, rows: dict, decode):
-        self.rows, self.decode = rows, decode
+        self.rows, self.decode, self.decoded = rows, decode, {}
 
     def __getitem__(self, key):
-        return self.decode(key, self.rows[key])
+        value = self.decoded.get(key)
+        if value is None:
+            value = self.decoded[key] = self.decode(key, self.rows[key])
+        return value
 
     def __iter__(self):
         return iter(self.rows)
@@ -63,6 +67,9 @@ class InvertedIndex:
     build_index also keeps the QA pairs as pair_text = (terms, ids, offsets):
     token list 2i is the question of document i and 2i + 1 its answer, list
     k being terms[ids[offsets[k]:offsets[k + 1]]], terms sorted, ids int32.
+
+    The BM25 weights of a term's postings are computed on first use and kept
+    in memory per (k1, b), so the arrays must not change after a search.
     """
 
     def __init__(self, doc_ids: list, doc_lengths: np.ndarray, terms: list,
@@ -81,6 +88,7 @@ class InvertedIndex:
         self.pair_text = pair_text
         self.provenance = provenance or {}
         self.avg_doc_len = int(doc_lengths.sum()) / len(doc_ids) if doc_ids else 0.0
+        self._weights: dict = {}  # (k1, b) -> (doc_norm, {term row: posting weights})
 
     @property
     def n_docs(self) -> int:
@@ -92,6 +100,22 @@ class InvertedIndex:
         length of postings[term] is the term's document frequency."""
         return _LazyMap(self.term_rows,
                         lambda _, row: self.post_docs[self.indptr[row]:self.indptr[row + 1]])
+
+    def posting_weights(self, row: int, k1: float, b: float) -> np.ndarray:
+        """BM25 weight idf * tf*(k1+1) / (tf + k1*(1 - b + b*len/avg)) of each
+        posting of terms[row], in document order."""
+        settings = self._weights.get((k1, b))
+        if settings is None:
+            doc_norm = k1 * (1.0 - b + b * self.doc_lengths / self.avg_doc_len)
+            settings = self._weights[k1, b] = (doc_norm, {})
+        doc_norm, rows = settings
+        weights = rows.get(row)
+        if weights is None:
+            start, end = self.indptr[row], self.indptr[row + 1]
+            tf = self.post_tfs[start:end]
+            weights = rows[row] = (_idf(self.n_docs, int(end - start)) * tf * (k1 + 1.0)
+                                   / (tf + doc_norm[self.post_docs[start:end]]))
+        return weights
 
     def content_digest(self) -> str:
         """Hex digest of the field, the documents and every posting."""
@@ -189,34 +213,25 @@ def _idf(n_docs: int, df: int) -> float:
     return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 
-def _bm25(index: InvertedIndex, query: Sequence[str], k1: float,
-          b: float) -> tuple[np.ndarray, np.ndarray]:
-    """BM25 score of every document, and the indices of the documents that
-    share at least one term with the query.
+def _bm25(index: InvertedIndex, query: Sequence[str], k1: float, b: float) -> np.ndarray:
+    """BM25 score of every document; 0.0 where it shares no term with the query.
 
-    Each query token contributes idf(t) * tf*(k1+1) / (tf + k1*(1 - b + b*len/avg)),
-    once per occurrence in the query. The postings of every token are
-    gathered in query order and summed per document by bincount, which adds
-    them in that order: the same sums, bit for bit, as adding the
-    contributions one token at a time.
+    Each query token contributes its term's posting weights, once per
+    occurrence in the query. The weights of every token are gathered in
+    query order and summed per document by bincount, which adds them in that
+    order: the same sums, bit for bit, as adding the contributions one token
+    at a time. Every weight is positive, so a document shares a term with the
+    query exactly when its score is above 0.
     """
     if not (k1 >= 0.0 and 0.0 <= b <= 1.0):
         raise ConfigError(f"BM25 needs k1 >= 0 and 0 <= b <= 1, got k1={k1}, b={b}")
-    indptr = index.indptr
-    spans = [(indptr[row], indptr[row + 1]) for row in
-             (index.term_rows.get(term) for term in query) if row is not None]
-    if not spans:
-        return np.zeros(index.n_docs), np.empty(0, dtype=np.int64)
-    docs = np.concatenate([index.post_docs[start:end] for start, end in spans])
-    tf = np.concatenate([index.post_tfs[start:end] for start, end in spans])
-    dfs = [int(end - start) for start, end in spans]
-    term_idf = np.repeat([_idf(index.n_docs, df) for df in dfs], dfs)
-    doc_norm = k1 * (1.0 - b + b * index.doc_lengths / index.avg_doc_len)
-    weights = term_idf * tf * (k1 + 1.0) / (tf + doc_norm[docs])
-    scores = np.bincount(docs, weights=weights, minlength=index.n_docs)
-    matched = np.zeros(index.n_docs, dtype=bool)
-    matched[docs] = True
-    return scores, np.flatnonzero(matched)
+    rows = [row for row in map(index.term_rows.get, query) if row is not None]
+    if not rows:
+        return np.zeros(index.n_docs)
+    indptr, post_docs = index.indptr, index.post_docs
+    docs = np.concatenate([post_docs[indptr[row]:indptr[row + 1]] for row in rows])
+    weights = np.concatenate([index.posting_weights(row, k1, b) for row in rows])
+    return np.bincount(docs, weights=weights, minlength=index.n_docs)
 
 
 def bm25_score(index: InvertedIndex, query: Sequence[str], doc_id: str,
@@ -224,7 +239,7 @@ def bm25_score(index: InvertedIndex, query: Sequence[str], doc_id: str,
     """BM25 score of one document for a query; 0.0 when they share no term."""
     if doc_id not in index.doc_rows:
         raise DataError(f"unknown document id {doc_id!r}")
-    return float(_bm25(index, query, k1, b)[0][index.doc_rows[doc_id]])
+    return float(_bm25(index, query, k1, b)[index.doc_rows[doc_id]])
 
 
 def search(index: InvertedIndex, query: Sequence[str], k: int,
@@ -236,7 +251,8 @@ def search(index: InvertedIndex, query: Sequence[str], k: int,
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    scores, matched = _bm25(index, query, k1, b)
+    scores = _bm25(index, query, k1, b)
+    matched = np.flatnonzero(scores > 0.0)
     matched_scores = scores[matched]
     if len(matched) > k:
         # keep every score tied with the k-th best: the doc id decides among them
@@ -268,13 +284,15 @@ def bm25_rank_responses(example, knowledge=None, k1: float = DEFAULT_K1,
     if knowledge is not None:
         responses = [knowledge.expand(resp) for resp in responses]
     micro = index_documents((f"c{i:06d}", resp) for i, resp in enumerate(responses))
-    scores = _bm25(micro, query, k1, b)[0].tolist()
+    scores = _bm25(micro, query, k1, b).tolist()
     return sorted(enumerate(scores), key=lambda item: (-item[1], item[0]))
 
 
 def stored_collection(index: InvertedIndex) -> tuple[Mapping, Mapping]:
-    """(docs, pairs_by_id) decoded on lookup from the pair text build_index
-    keeps: lazy doc_store(pairs, index.field_name) and {pair.id: pair}."""
+    """(docs, pairs_by_id) decoded on first lookup from the pair text
+    build_index keeps: lazy doc_store(pairs, index.field_name) and
+    {pair.id: pair}. Each pair is decoded at most once, and the maps hand out
+    the same objects on every lookup, so callers must not mutate them."""
     from .corpus import QAPair  # local import to avoid a cycle
 
     if index.pair_text is None:
@@ -286,9 +304,10 @@ def stored_collection(index: InvertedIndex) -> tuple[Mapping, Mapping]:
         return QAPair(id=doc_id, question=[terms[i] for i in ids[q:a].tolist()],
                       answer=[terms[i] for i in ids[a:end].tolist()])
 
+    pairs_by_id = _LazyMap(index.doc_rows, pair)
     return (_LazyMap(index.doc_rows,
-                     lambda doc_id, row: field_tokens(pair(doc_id, row), index.field_name)),
-            _LazyMap(index.doc_rows, pair))
+                     lambda doc_id, _: field_tokens(pairs_by_id[doc_id], index.field_name)),
+            pairs_by_id)
 
 
 def save_index(index: InvertedIndex, path, provenance: dict | None = None) -> None:

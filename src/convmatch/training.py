@@ -116,7 +116,11 @@ def adam_step(registry: dict, state: AdamState, cfg: TrainConfig) -> None:
     """One bias-corrected Adam update; parameters with no gradient stay put.
 
     Every gradient is checked before anything changes, so a NumericError
-    leaves the parameters and the state as they were.
+    leaves the parameters and the state as they were. The update runs in
+    place, in the op order of m = beta1*m + (1-beta1)*g,
+    v = beta2*v + (1-beta2)*g**2 and values - lr*(m/bias1) / (sqrt(v/bias2) + eps):
+    each ufunc writes into its last argument, the moments, the parameters or
+    one of two scratch buffers sized to the largest parameter.
     """
     grads = {}
     for name, tensor in registry.items():
@@ -129,14 +133,26 @@ def adam_step(registry: dict, state: AdamState, cfg: TrainConfig) -> None:
     state.t += 1
     bias1 = 1.0 - cfg.beta1 ** state.t
     bias2 = 1.0 - cfg.beta2 ** state.t
+    beta1, beta2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.adam_eps
+    size = max((grad.size for grad in grads.values()), default=0)
+    a_buffer, b_buffer = np.empty(size), np.empty(size)
     for name, tensor in registry.items():
-        grad = grads[name]
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * grad
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * grad ** 2
-        m_hat = state.m[name] / bias1
-        v_hat = state.v[name] / bias2
-        tensor.values[...] = tensor.values - cfg.learning_rate * m_hat / (
-            np.sqrt(v_hat) + cfg.adam_eps)
+        grad, m, v, values = grads[name], state.m[name], state.v[name], tensor.values
+        a, b = a_buffer[:grad.size].reshape(grad.shape), b_buffer[:grad.size].reshape(grad.shape)
+        np.multiply(grad, 1.0 - beta1, a)
+        np.multiply(m, beta1, m)
+        np.add(m, a, m)
+        np.square(grad, a)
+        np.multiply(a, 1.0 - beta2, a)
+        np.multiply(v, beta2, v)
+        np.add(v, a, v)
+        np.divide(m, bias1, a)
+        np.multiply(a, lr, a)
+        np.divide(v, bias2, b)
+        np.sqrt(b, b)
+        np.add(b, eps, b)
+        np.divide(a, b, a)
+        np.subtract(values, a, values)
 
 
 @dataclass

@@ -1,7 +1,10 @@
 """Independent brute-force implementations used as test oracles.
 
 Everything here is written with plain Python loops against raw inputs, on
-purpose: these functions must not share code paths with the library.
+purpose: these functions must not share code paths with the library. The
+exceptions are bm25_per_query and ppmi_matrix_counted, bit-for-bit
+references written with numpy in the library's order of operations, but
+without its kept posting weights and its bincount counting.
 """
 
 from __future__ import annotations
@@ -43,6 +46,67 @@ def bm25_ranking(docs: dict, query, k1: float = 1.2, b: float = 0.75):
             scored.append((doc_id, score))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored
+
+
+def bm25_per_query(index, query, k1: float, b: float):
+    """BM25 scores of every document and the matched document indices,
+    computed afresh for each query from an index's CSR arrays, with nothing
+    kept between queries: the bit-for-bit reference for the posting weights
+    an index keeps per (k1, b)."""
+    indptr = index.indptr
+    spans = [(indptr[row], indptr[row + 1]) for row in
+             (index.term_rows.get(term) for term in query) if row is not None]
+    if not spans:
+        return np.zeros(index.n_docs), np.empty(0, dtype=np.int64)
+    docs = np.concatenate([index.post_docs[start:end] for start, end in spans])
+    tf = np.concatenate([index.post_tfs[start:end] for start, end in spans])
+    dfs = [int(end - start) for start, end in spans]
+    term_idf = np.repeat([math.log((index.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+                          for df in dfs], dfs)
+    doc_norm = k1 * (1.0 - b + b * index.doc_lengths / index.avg_doc_len)
+    weights = term_idf * tf * (k1 + 1.0) / (tf + doc_norm[docs])
+    scores = np.bincount(docs, weights=weights, minlength=index.n_docs)
+    matched = np.zeros(index.n_docs, dtype=bool)
+    matched[docs] = True
+    return scores, np.flatnonzero(matched)
+
+
+def ppmi_matrix_counted(response_tokens, utterance_tokens, pairs,
+                        counting: str = "frequency"):
+    """The PPMI grid with its count matrices filled by one += per counted
+    token: the bit-for-bit reference for counts filled by bincount."""
+    binary = counting == "binary"
+
+    def columns(tokens):
+        live = [t for t in dict.fromkeys(tokens) if t not in (PAD_TOKEN, UNK_TOKEN)]
+        return {term: k for k, term in enumerate(live, start=1)}
+
+    def counts(bags, cols):
+        grid = np.zeros((len(bags), len(cols) + 1), dtype=np.float64)
+        for row, bag in enumerate(bags):
+            for term in set(bag) if binary else bag:
+                grid[row, cols.get(term, 0)] += 1.0
+        return grid
+
+    r_cols, u_cols = columns(response_tokens), columns(utterance_tokens)
+    answers = counts([pair.answer for pair in pairs], r_cols)
+    questions = counts([pair.question for pair in pairs], u_cols)
+    if binary:
+        joint_total = answer_total = question_total = float(len(pairs))
+    else:
+        a_len, q_len = answers.sum(axis=1), questions.sum(axis=1)
+        joint_total, answer_total, question_total = a_len @ q_len, a_len.sum(), q_len.sum()
+    answers[:, 0] = questions[:, 0] = 0.0
+    joint = answers.T @ questions
+    i, j = np.nonzero(joint)
+    p_a = answers.sum(axis=0)[i] / answer_total
+    p_q = questions.sum(axis=0)[j] / question_total
+    ratios = (joint[i, j] / joint_total) / (p_a * p_q)
+    values = np.zeros_like(joint)
+    values[i, j] = [max(math.log(r), 0.0) for r in ratios.tolist()]
+    r_pos = np.array([r_cols.get(t, 0) for t in response_tokens], dtype=np.intp)
+    u_pos = np.array([u_cols.get(t, 0) for t in utterance_tokens], dtype=np.intp)
+    return values[r_pos[:, None], u_pos[None, :]]
 
 
 def ppmi_matrix(response_tokens, utterance_tokens, pairs, counting: str = "frequency"):

@@ -1,6 +1,7 @@
 """Every text input with one byte that is not UTF-8 ends in exit code 2, with
-the file and line named on stderr and nothing written; a write into a
-missing directory names the output, not its temporary file."""
+the file and line named on stderr and nothing written; a directory given in
+place of an input file is exit 1, like a missing one; a write into a missing
+directory names the output, not its temporary file."""
 
 from pathlib import Path
 
@@ -108,3 +109,26 @@ def test_output_in_missing_directory_names_the_output(ws, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(output) in err and ".tmp" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("config", ["rank", "--test-file", "{ws}/test.tsv", "--checkpoint", "{ws}/model.ckpt",
+                "--output", "{out}/result.tsv", "--config", "{bad}"]),
+    ("ranking_file", ["eval", "--ranking-file", "{bad}", "--output", "{out}/report.tsv"]),
+    ("test_file", ["rank", "--test-file", "{bad}", "--checkpoint", "{ws}/model.ckpt",
+                   "--output", "{out}/result.tsv"]),
+    ("index_file", ["expand", "--test-file", "{ws}/test.tsv", "--index-file", "{bad}",
+                    "--output", "{out}/expanded.tsv"]),
+    ("qa_file", ["index", "--qa-file", "{bad}", "--index-file", "{out}/qa.index"]),
+    ("vocab_file", ["rank", "--test-file", "{ws}/test.tsv", "--checkpoint", "{ws}/model.ckpt",
+                    "--vocab-file", "{bad}", "--output", "{out}/result.tsv"]),
+    ("vocab_file", ["train", "--train-file", "{ws}/train.tsv", "--valid-file", "{ws}/valid.tsv",
+                    "--checkpoint", "{out}/model.ckpt", "--vocab-file", "{bad}", *MODEL_FLAGS]),
+])
+def test_directory_for_an_input_file_is_exit_one(ws, tmp_path, capsys, flag, argv):
+    bad = tmp_path / "folder"
+    bad.mkdir()
+    capsys.readouterr()
+    assert main([arg.format(ws=ws, out=tmp_path, bad=bad) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"config error: {flag} path is not a file: {bad}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["folder"]

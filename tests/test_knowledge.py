@@ -7,9 +7,12 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from synth import random_qa_pairs
+from convmatch import corpus
 from convmatch.corpus import QAPair
 from convmatch.errors import ConfigError, DataError
 from convmatch.knowledge import (KnowledgeSource, TsvCache, expand_response,
@@ -137,6 +140,21 @@ class TestPpmiMatrix:
         with pytest.raises(ConfigError):  # validated before the empty-retrieval case
             ppmi_matrix(["a"], ["b"], [], counting="fancy")
 
+    @pytest.mark.parametrize("counting", ["frequency", "binary"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_per_token_counting(self, counting, data):
+        # a small alphabet, so tokens repeat; PAD and UNK anywhere; zero pairs too
+        tokens = st.lists(st.sampled_from(["a", "b", "c", "d", PAD_TOKEN, UNK_TOKEN]),
+                          max_size=8)
+        pairs = [QAPair(id=f"p{i}", question=question, answer=answer) for i, (question, answer)
+                 in enumerate(data.draw(st.lists(st.tuples(tokens, tokens), max_size=6)))]
+        resp, utt = data.draw(tokens), data.draw(tokens)
+        ours = ppmi_matrix(resp, utt, pairs, counting=counting)
+        ref = oracles.ppmi_matrix_counted(resp, utt, pairs, counting=counting)
+        assert ours.shape == ref.shape and ours.dtype == ref.dtype
+        assert ours.tobytes() == ref.tobytes()
+
     @staticmethod
     def _digest_case(case):
         """Seeded (response, utterance, pairs) inputs for the pinned digests."""
@@ -195,7 +213,6 @@ class TestRetrieveQaPairs:
         assert len(got) <= 10
 
     def test_each_retrieved_pair_looked_up_once(self, rng):
-        # the index's lazy store decodes a pair on every lookup
         class CountingPairs(Mapping):
             def __init__(self, pairs):
                 self.pairs, self.lookups = {p.id: p for p in pairs}, Counter()
@@ -218,6 +235,28 @@ class TestRetrieveQaPairs:
 
 
 class TestKnowledgeSource:
+    def test_each_pair_decoded_once_and_retrievals_equal(self, rng, monkeypatch):
+        decoded = Counter()
+
+        class CountingPair(QAPair):
+            def __init__(self, **fields):
+                super().__init__(**fields)
+                decoded[self.id] += 1
+
+        monkeypatch.setattr(corpus, "QAPair", CountingPair)  # what the index decodes into
+        pairs = random_qa_pairs(rng, 30)
+        by_id = {pair.id: (pair.question, pair.answer) for pair in pairs}
+        source = KnowledgeSource(build_index(pairs, "answer"), prf_docs=5, kd_pairs=5)
+        responses = [["w1", "w2"], ["w3", "w4"], ["w1", "w2"]]
+        first = [source.retrieve_pairs(response) for response in responses]
+        expanded = [source.expand(response) for response in responses]
+        second = [source.retrieve_pairs(response) for response in responses]
+        assert first == second and first[0] == first[2] and all(first)
+        for retrieved in first:
+            assert all((pair.question, pair.answer) == by_id[pair.id] for pair in retrieved)
+        assert any(len(tokens) > 2 for tokens in expanded)
+        assert decoded and set(decoded.values()) == {1}
+
     def test_expansion_cached(self, rng):
         pairs = random_qa_pairs(rng, 20)
         source = KnowledgeSource(build_index(pairs, "answer"), prf_docs=3, prf_terms=4)

@@ -231,6 +231,70 @@ class TestRankResponses:
         assert bm25_rank_responses(example, source) == rescored
 
 
+# BM25 settings for the posting-weight tests, including b at both ends and k1 = 0
+BM25_SETTINGS = st.sampled_from([(1.2, 0.75), (0.0, 0.75), (1.2, 0.0), (1.2, 1.0),
+                                 (2.0, 0.3), (0.0, 1.0)])
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+class TestPostingWeights:
+    """The BM25 posting weights an index keeps per (k1, b) give the scores of
+    the per-query formula (oracles.bm25_per_query) bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_search_and_score_match_per_query_formula(self, data):
+        words = [f"w{i}" for i in range(10)]
+        n_docs = data.draw(st.integers(1, 12))
+        docs = {f"d{i}": data.draw(st.lists(st.sampled_from(words), max_size=9))
+                for i in range(n_docs)}
+        index = index_documents(docs.items())
+        first, second = data.draw(st.lists(BM25_SETTINGS, min_size=2, max_size=2, unique=True))
+        drawn = data.draw(st.lists(st.lists(st.sampled_from(words + ["oov"]), max_size=8),
+                                   min_size=1, max_size=5))
+        queries = [[], ["oov"], *drawn]
+        for query in queries + queries[::-1]:  # each query cold, then warm
+            for k1, b in (first, second):  # two settings interleaved on one index
+                expected, matched = oracles.bm25_per_query(index, query, k1, b)
+                ranked = sorted(((index.doc_ids[i], float(expected[i])) for i in matched),
+                                key=lambda item: (-item[1], item[0]))
+                for k in (1, 3, n_docs + 1):
+                    assert search(index, query, k, k1=k1, b=b) == ranked[:k]
+                for row, doc_id in enumerate(index.doc_ids):
+                    assert (_bits(bm25_score(index, query, doc_id, k1=k1, b=b))
+                            == _bits(expected[row]))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_rank_responses_match_per_query_formula(self, data):
+        words = st.sampled_from(["a", "b", "c", "d", "e"])
+        candidates = data.draw(st.lists(st.tuples(st.lists(words, max_size=6),
+                                                  st.integers(0, 1)), min_size=1, max_size=8))
+        context = data.draw(st.lists(st.lists(st.one_of(words, st.just("oov")), max_size=5),
+                                     min_size=1, max_size=3))
+        k1, b = data.draw(BM25_SETTINGS)
+        example = DialogExample(dialog_id="d0", context=context, candidates=candidates)
+        micro = index_documents((f"c{i:06d}", list(tokens))
+                                for i, (tokens, _) in enumerate(candidates))
+        scores, _ = oracles.bm25_per_query(micro, [t for turn in context for t in turn], k1, b)
+        expected = sorted(enumerate(scores.tolist()), key=lambda item: (-item[1], item[0]))
+        assert bm25_rank_responses(example, k1=k1, b=b) == expected
+
+    def test_searches_leave_saved_bytes_and_digests_unchanged(self, rng, tmp_path):
+        index = build_index(random_qa_pairs(rng, 40), "concatenated")
+        save_index(index, tmp_path / "before.npz")
+        digest, fingerprint = index.content_digest(), KnowledgeSource(index).fingerprint
+        for k1, b in ((1.2, 0.75), (0.5, 1.0), (1.2, 0.75)):
+            assert search(index, ["w1", "w2", "w1", "oov"], 5, k1=k1, b=b)
+        save_index(index, tmp_path / "after.npz")
+        assert (tmp_path / "after.npz").read_bytes() == (tmp_path / "before.npz").read_bytes()
+        assert index.content_digest() == digest
+        assert KnowledgeSource(index).fingerprint == fingerprint
+
+
 class TestIndexSerialization:
     def test_round_trip_search_identical(self, rng, tmp_path):
         docs = _random_docs(rng, 60)

@@ -104,6 +104,33 @@ class TestAdamStep:
         assert (diffs <= 1e-12).all()
         assert history[-1] < history[0] / 2
 
+    def test_three_steps_match_the_out_of_place_expression(self, rng):
+        # tensors of several shapes and sizes, one of them with no gradient
+        shapes = {"matrix": (4, 3), "vector": (7,), "scalar": (), "frozen": (2, 5)}
+        registry = {name: Tensor(rng.normal(size=shape), requires_grad=True)
+                    for name, shape in shapes.items()}
+        values = {name: tensor.values.copy() for name, tensor in registry.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        cfg = TrainConfig(learning_rate=0.01)
+        state = AdamState.for_params(registry)
+        for t in range(1, 4):
+            for name, shape in shapes.items():
+                registry[name].grad = None if name == "frozen" else rng.normal(size=shape)
+            adam_step(registry, state, cfg)
+            bias1, bias2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+            for name, tensor in registry.items():
+                grad = np.zeros(shapes[name]) if tensor.grad is None else tensor.grad
+                m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * grad
+                v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * grad ** 2
+                values[name] = values[name] - cfg.learning_rate * (m[name] / bias1) / (
+                    np.sqrt(v[name] / bias2) + cfg.adam_eps)
+                for ours, expected in ((tensor.values, values[name]), (state.m[name], m[name]),
+                                       (state.v[name], v[name])):
+                    assert ours.shape == expected.shape
+                    assert ours.tobytes() == expected.tobytes()
+        assert state.t == 3
+
     def test_non_finite_gradient_names_parameter(self):
         registry = self._registry([1.0])
         registry["theta"].grad = np.array([np.nan])
