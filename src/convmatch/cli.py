@@ -321,6 +321,22 @@ def _refuse_other_model_settings(cfg: RunConfig, stored: model.ModelConfig) -> N
                                   f"was trained with {trained!r}")
 
 
+def _score_runs(dataset: list, cells_per_candidate: int):
+    """Runs of consecutive examples whose grids fit model._GRID_CELL_BUDGET
+    cells together, at least one example a run: only one run is prepared,
+    dense m3 grids included, at a time."""
+    run, cells = [], 0
+    for example in dataset:
+        need = len(example.candidates) * cells_per_candidate
+        if run and cells + need > model._GRID_CELL_BUDGET:
+            yield run
+            run, cells = [], 0
+        run.append(example)
+        cells += need
+    if run:
+        yield run
+
+
 def _rank_dataset(cfg: RunConfig) -> tuple[list, list]:
     """Shared by rank and eval: returns (per-group rows, ranked label groups)."""
     cfg.require_files("test_file", "checkpoint")
@@ -336,14 +352,14 @@ def _rank_dataset(cfg: RunConfig) -> tuple[list, list]:
     source = None if model_cfg.variant == "dmn" else _load_knowledge(cfg, tokenizer)
     rows = []
     groups = []
-    for example in dataset:
-        prepared = model.prepare_example(example, vocab, model_cfg, source)
-        ordering = model.rank_prepared(prepared, params, model_cfg)
-        for position, (cand_idx, cand_score) in enumerate(ordering, start=1):
-            rows.append((example.dialog_id, cand_idx, cand_score, position))
-        groups.append(metrics.RankedLabels(
-            labels=[int(prepared.labels[i]) for i, _ in ordering],
-            group_id=example.dialog_id))
+    for run in _score_runs(dataset, model_cfg.c * model_cfg.l_r * model_cfg.l_u):
+        prepared = [model.prepare_example(example, vocab, model_cfg, source) for example in run]
+        for prep, scores in zip(prepared, model.score_examples(prepared, params, model_cfg)):
+            ordering = model.ranked(scores)
+            for position, (cand_idx, cand_score) in enumerate(ordering, start=1):
+                rows.append((prep.dialog_id, cand_idx, cand_score, position))
+            groups.append(metrics.RankedLabels(
+                labels=[int(prep.labels[i]) for i, _ in ordering], group_id=prep.dialog_id))
     if source is not None:
         source.save_caches()
     return rows, groups

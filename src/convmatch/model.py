@@ -209,12 +209,6 @@ class ModelParams:
         self.bilinear_m2 = tensors.get("bilinear_m2")
 
     @classmethod
-    def from_arrays(cls, arrays: dict) -> "ModelParams":
-        """Fresh trainable tensors holding copies of the given name -> array values."""
-        return cls({name: Tensor(np.array(values, dtype=np.float64), requires_grad=True)
-                    for name, values in arrays.items()})
-
-    @classmethod
     def init(cls, cfg: ModelConfig, vocab_size: int, seed: int = 0,
              pretrained_embeddings: np.ndarray | None = None,
              embed_scale: float = 0.1) -> "ModelParams":
@@ -249,7 +243,8 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         """Deep copy of all parameter values (gradients are not copied)."""
-        return ModelParams.from_arrays({name: t.values for name, t in self._tensors.items()})
+        return ModelParams({name: Tensor(np.array(t.values), requires_grad=True)
+                            for name, t in self._tensors.items()})
 
 
 def load_word_embeddings(path, vocab: Vocabulary, dim: int,
@@ -421,10 +416,10 @@ def prepare_example(example: DialogExample, vocab: Vocabulary, cfg: ModelConfig,
 
 
 # Most grid cells (N·M·c·l_r·l_u) that one score_batch call of score_examples
-# holds. At the acceptance shape that is 11 ten-candidate examples a call,
-# which removes most of the per-call overhead; a paper-shape example alone
-# exceeds it and is scored on its own. A larger budget saved little more time
-# and raised peak memory.
+# holds, and that cli's rank and eval prepare at a time. At the acceptance
+# shape that is 11 ten-candidate examples a call, which removes most of the
+# per-call overhead; a paper-shape example alone exceeds it and is scored on
+# its own. A larger budget saved little more time and raised peak memory.
 _GRID_CELL_BUDGET = 8192
 
 
@@ -543,4 +538,5 @@ def load_checkpoint(path, vocab_size: int | None = None,
         if key in meta and str(meta[key]) != expected:
             raise ConfigError(f"checkpoint was trained with {key} {str(meta[key])!r}, "
                               f"this run has {expected!r}")
-    return ModelParams.from_arrays({name: arrays[name] for name in shapes}), cfg
+    # np.load read each array fresh, so the tensors take them without a copy
+    return ModelParams({name: Tensor(arrays[name], requires_grad=True) for name in shapes}), cfg

@@ -12,9 +12,12 @@ from convmatch.cli import (SETTINGS, RunConfig, build_run_config, load_config_fi
                            make_parser)
 from convmatch.corpus import DialogExample, load_dataset, save_dataset
 from convmatch.errors import ConfigError
-from convmatch import nn
+from convmatch import model, nn
+from convmatch.fileio import write_rows
+from convmatch.knowledge import KnowledgeSource
 from convmatch.model import (ConvLayerConfig, ModelConfig, ModelParams, load_checkpoint,
                              prepare_example, rank_prepared, save_checkpoint)
+from convmatch.retrieval import load_index
 from convmatch.text import (Tokenizer, Vocabulary, build_vocab, load_vocab, provenance,
                             save_vocab)
 from convmatch.training import TrainConfig
@@ -713,6 +716,111 @@ class TestKnowledgeIndex:
         assert self._expand(indexed)[0] == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and "version 1 text index; rebuild it" in err
+
+
+class TestChunkedRank:
+    """rank and eval prepare and score the test set one run of consecutive
+    examples at a time, as many as fit model._GRID_CELL_BUDGET grid cells;
+    each example keeps its own ranking, up to BLAS summation order."""
+
+    CFG = dict(l_u=6, l_r=6, c=2, embed_dim=4, gru_hidden=2, mlp_hidden=4, dropout=0.0,
+               conv=ConvLayerConfig(kernel_shape=(2, 2), kernel_count=2, pool_shape=(2, 2)))
+
+    def _setup(self, tmp_path, variant):
+        """36 dialogs of 2 to 6 candidates (142 candidates of 72 grid cells,
+        more than one run), a checkpoint and an index of the test set's own
+        QA pairs; returns the rank flags, the config and each example's
+        per-example preparation and ranking."""
+        dialogs = [lexical_cue_dataset(1, n_neg=1 + n % 5, n_cues=8, seed=100 + n,
+                                       prefix=f"c{n}")[0] for n in range(36)]
+        test_file = tmp_path / "test.tsv"
+        save_dataset(dialogs, test_file)
+        index_path = tmp_path / "qa.index"
+        qa_path = _retrievable_qa(tmp_path, {"test": test_file})
+        assert main(["index", "--qa-file", str(qa_path), "--index-file", str(index_path)]) == 0
+        examples = load_dataset(test_file, Tokenizer(), max_context_turns=2)
+        vocab = build_vocab([tokens for ex in examples
+                             for tokens in (*ex.context, *(t for t, _ in ex.candidates))], 1)
+        channels = ("m1", "m2", "m3") if variant == "dmn-kd" else ("m1", "m2")
+        cfg = ModelConfig(variant=variant, channels=channels, **self.CFG)
+        params = ModelParams.init(cfg, len(vocab), seed=3, embed_scale=1.0)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, ckpt, provenance=provenance(Tokenizer(), vocab))
+        save_vocab(vocab, str(ckpt) + ".vocab.tsv")
+        source = None if variant == "dmn" else KnowledgeSource(load_index(index_path))
+        prepared = [prepare_example(ex, vocab, cfg, source) for ex in examples]
+        expected = [(prep, rank_prepared(prep, params, cfg)) for prep in prepared]
+        flags = ["--test-file", str(test_file), "--checkpoint", str(ckpt),
+                 "--index-file", str(index_path)]
+        return flags, cfg, expected
+
+    @staticmethod
+    def _record(monkeypatch, events, name):
+        original = getattr(model, name)
+
+        def recording(*args, **kwargs):
+            events.append((name, args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, recording)
+
+    @pytest.mark.parametrize("variant", ["dmn-prf", "dmn-kd"])
+    def test_chunks_rank_like_one_example_at_a_time(self, tmp_path, variant, monkeypatch):
+        flags, cfg, expected = self._setup(tmp_path, variant)
+        if variant == "dmn-kd":
+            assert any(prep.m3.any() for prep, _ in expected)
+        events = []
+        self._record(monkeypatch, events, "score_batch")
+        ranking = tmp_path / "ranking.tsv"
+        assert main(["rank", *flags, "--output", str(ranking)]) == 0
+        rows = [len(args[1]) for _, args in events]
+        assert sum(len(args[0]) for _, args in events) == len(expected) > len(events)
+        assert sum(rows) * cfg.c * cfg.l_r * cfg.l_u > model._GRID_CELL_BUDGET
+        lines = [line.split("\t") for line in ranking.read_text("utf-8").splitlines()]
+        assert len(lines) == sum(rows)
+        start = 0
+        for prep, ordering in expected:
+            group = lines[start:start + len(ordering)]
+            start += len(ordering)
+            assert {row[0] for row in group} == {prep.dialog_id}
+            assert [int(row[1]) for row in group] == [i for i, _ in ordering]
+            assert [int(row[3]) for row in group] == list(range(1, len(ordering) + 1))
+            np.testing.assert_allclose([float(row[2]) for row in group],
+                                       [score for _, score in ordering], rtol=1e-12, atol=0)
+
+        # a budget below one example scores each example alone, as rank_prepared does
+        monkeypatch.setattr(model, "_GRID_CELL_BUDGET", 1)
+        assert main(["rank", *flags, "--output", str(ranking)]) == 0
+        one_by_one = tmp_path / "one_by_one.tsv"
+        write_rows(one_by_one, [(prep.dialog_id, idx, score, position)
+                                for prep, ordering in expected
+                                for position, (idx, score) in enumerate(ordering, start=1)])
+        assert ranking.read_bytes() == one_by_one.read_bytes()
+
+    def test_prepares_at_most_one_run_ahead(self, tmp_path, monkeypatch):
+        flags, cfg, expected = self._setup(tmp_path, "dmn-kd")
+        events = []
+        self._record(monkeypatch, events, "prepare_example")
+        self._record(monkeypatch, events, "score_batch")
+        assert main(["rank", *flags, "--output", str(tmp_path / "ranking.tsv")]) == 0
+        names = [name for name, _ in events]
+        assert names.count("prepare_example") == len(expected)
+        cells = np.cumsum([len(prep.cand_ids) * cfg.c * cfg.l_r * cfg.l_u
+                           for prep, _ in expected])
+        one_run = int((cells <= model._GRID_CELL_BUDGET).sum())
+        assert 1 < names.index("score_batch") <= one_run < len(expected)
+
+    def test_empty_test_file(self, tmp_path, capsys):
+        flags, _, _ = self._setup(tmp_path, "dmn")
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        flags[1] = str(empty)
+        ranking = tmp_path / "ranking.tsv"
+        assert main(["rank", *flags, "--output", str(ranking)]) == 0
+        assert ranking.read_bytes() == b""
+        capsys.readouterr()
+        assert main(["eval", *flags]) == 2
+        assert capsys.readouterr().err.startswith("data error")
 
 
 class TestPretrainedEmbeddings:

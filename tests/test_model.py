@@ -153,6 +153,8 @@ class TestParamTable:
         assert params_digest(clone) == params_digest(params)
         clone.registry()["mlp.b2"].values[0] = 1.0
         assert params.registry()["mlp.b2"].values[0] == 0.0
+        for name, tensor in params.registry().items():
+            assert not np.shares_memory(clone.registry()[name].values, tensor.values)
 
     @pytest.mark.parametrize("key,value", [
         ("l_r", None), ("l_u", "6"), ("c", 2.0), ("channels", 3), ("conv", 3),
@@ -467,6 +469,21 @@ class TestCheckpoint:
         assert loaded_cfg == cfg
         after = score_prepared(prepared, loaded_params, loaded_cfg)
         assert before == after
+
+    def test_loads_are_bit_exact_and_share_no_memory(self, tmp_path):
+        # load_checkpoint wraps the arrays np.load returns without copying them
+        cfg = tiny_config(variant="dmn-kd", channels=("m1", "m2", "m3"))
+        params = ModelParams.init(cfg, vocab_size=9, seed=6)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, path)
+        first, second = (load_checkpoint(path)[0].registry() for _ in range(2))
+        assert list(first) == list(params.registry())
+        for name, tensor in params.registry().items():
+            loaded = first[name]
+            assert loaded.requires_grad and loaded.values.flags.writeable
+            assert loaded.values.dtype == np.float64 and loaded.shape == tensor.shape
+            assert loaded.values.tobytes() == tensor.values.tobytes()
+            assert not np.shares_memory(loaded.values, second[name].values)
 
     @pytest.mark.parametrize("tamper", ["missing", "extra", "shape"])
     def test_tensor_set_must_match_config(self, tmp_path, tamper):
